@@ -1,6 +1,9 @@
 """Every proved bound as a pure formula behind its hypothesis gate.
 
-Bound values are exact rationals and are never floored; equality
+:data:`BOUNDS` is the single statement of the bounds: each entry holds a
+gate and one check per direction, all functions of an invariant record
+and the index k. A record computes only the invariants those functions
+read. Bound values are exact rationals and are never floored; equality
 detection compares Fractions. A graph failing a gate yields a
 not-applicable report, never a vacuous pass. A violated bound in a
 report signals an implementation bug (all bounds are proven) and is
@@ -12,44 +15,169 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .graph import Graph, GraphError
 from .records import InvariantRecord, compute_record
 
 
 class BoundId(enum.Enum):
-    """Identifies one proved inequality (see README for the formulas)."""
+    """Identifies one proved inequality; :data:`BOUNDS` states it."""
 
-    LOWER_DEG = "LOWER_DEG"    # F_k >= min_degree - k + 1
-    MAIN = "MAIN"              # F_k <= (D-k+1)n / (D-k+1+min(d,k))
-    KCOR = "KCOR"              # F_k <= (D-k+1)n / (D+1), d >= k
-    RATIO = "RATIO"            # F_1 <= Dn/(D+1)
-    CONN_KDOM = "CONN_KDOM"    # F_k <= n - gamma_{k,c}, k-connected
-    CONN_DOM = "CONN_DOM"      # F_1 <= n - gamma_c, connected
-    MAIN2 = "MAIN2"            # F_k <= ((D-2)n+2)/(D+k-2), k-connected
-    COR3 = "COR3"              # F_1 <= ((D-2)n+2)/(D-1), connected
-    CHAIN = "CHAIN"            # n - gamma_c <= ((D-2)n+2)/(D-1)
-    GAMMA_LOWER = "GAMMA_LOWER"  # gamma_c >= (n-2)/(D-1)
-    HAM_CHORDS = "HAM_CHORDS"  # F_1 <= t + 1, Hamiltonian with t >= 1 chords
-    HAM_CUBIC = "HAM_CUBIC"    # F_1 <= n_3/2 + 1, Hamiltonian, D = 3
-    CYCLE_TREE = "CYCLE_TREE"  # F_1 <= 2q for cycle-trees
-    TREE_LEAF = "TREE_LEAF"    # ceil(n_1/2) <= F_1 <= n_1 - 1 for trees
-    TREE_COR = "TREE_COR"      # F_1 <= ((D-2)n+2)/(D-1) - 1 for trees
-    K1R = "K1R"                # F_{k(r-1)} <= n - alpha_k, K_{1,r}-free
-    K1R_ALPHA = "K1R_ALPHA"    # F_{r-1} <= n - alpha_1, K_{1,r}-free
-    CLAWFREE = "CLAWFREE"      # F_{2k} <= n - alpha_k, claw-free
-
-    @property
-    def order(self) -> int:
-        return list(BoundId).index(self)
+    LOWER_DEG = "LOWER_DEG"
+    MAIN = "MAIN"
+    KCOR = "KCOR"
+    RATIO = "RATIO"
+    CONN_KDOM = "CONN_KDOM"
+    CONN_DOM = "CONN_DOM"
+    MAIN2 = "MAIN2"
+    COR3 = "COR3"
+    CHAIN = "CHAIN"
+    GAMMA_LOWER = "GAMMA_LOWER"
+    HAM_CHORDS = "HAM_CHORDS"
+    HAM_CUBIC = "HAM_CUBIC"
+    CYCLE_TREE = "CYCLE_TREE"
+    TREE_LEAF = "TREE_LEAF"
+    TREE_COR = "TREE_COR"
+    K1R = "K1R"
+    K1R_ALPHA = "K1R_ALPHA"
+    CLAWFREE = "CLAWFREE"
 
 
 ALL_BOUNDS = tuple(BoundId)
 
 
-class MissingInvariantError(GraphError):
-    """The invariant record lacks a field a bound needs at this k."""
+@dataclass(frozen=True)
+class Check:
+    """One direction of a bound: ``value`` bounds ``exact`` from ``side``."""
+
+    side: str  # "upper" | "lower"
+    value: Callable[[InvariantRecord, int], Fraction]
+    exact: Callable[[InvariantRecord, int], int]
+    detail: Callable[[InvariantRecord, int], tuple[tuple[str, int], ...]] = (
+        lambda rec, k: ()
+    )
+
+
+@dataclass(frozen=True)
+class Bound:
+    """A hypothesis gate and the checks it admits, in report order."""
+
+    gate: Callable[[InvariantRecord, int], bool]
+    checks: tuple[Check, ...]
+
+
+def _f_k(rec: InvariantRecord, k: int) -> int:
+    return rec.forcing[k]
+
+
+def _f_1(rec: InvariantRecord, k: int) -> int:
+    return rec.forcing[1]
+
+
+def _cor3(rec: InvariantRecord, k: int) -> Fraction:
+    return Fraction((rec.max_degree - 2) * rec.n + 2, rec.max_degree - 1)
+
+
+def _connected_d2(rec: InvariantRecord, k: int) -> bool:
+    return k == 1 and rec.connected and rec.max_degree >= 2
+
+
+def _k1r_index(rec: InvariantRecord, k: int) -> int:
+    return k * (rec.star_free_index - 1)
+
+
+BOUNDS: dict[BoundId, Bound] = {
+    BoundId.LOWER_DEG: Bound(
+        lambda rec, k: True,
+        (Check("lower", lambda rec, k: Fraction(rec.min_degree - k + 1), _f_k),),
+    ),
+    BoundId.MAIN: Bound(
+        lambda rec, k: rec.n >= 2 and rec.max_degree >= k and rec.min_degree >= 1,
+        (Check("upper", lambda rec, k: Fraction(
+            (rec.max_degree - k + 1) * rec.n,
+            rec.max_degree - k + 1 + min(rec.min_degree, k)), _f_k),),
+    ),
+    BoundId.KCOR: Bound(
+        lambda rec, k: rec.n >= 2 and rec.min_degree >= k,
+        (Check("upper", lambda rec, k: Fraction(
+            (rec.max_degree - k + 1) * rec.n, rec.max_degree + 1), _f_k),),
+    ),
+    BoundId.RATIO: Bound(
+        lambda rec, k: k == 1 and rec.min_degree >= 1,
+        (Check("upper", lambda rec, k: Fraction(
+            rec.max_degree * rec.n, rec.max_degree + 1), _f_1),),
+    ),
+    BoundId.CONN_KDOM: Bound(
+        lambda rec, k: rec.k_connected[k],
+        (Check("upper", lambda rec, k: Fraction(rec.n - rec.gamma_kc[k]), _f_k),),
+    ),
+    BoundId.CONN_DOM: Bound(
+        lambda rec, k: k == 1 and rec.connected and rec.n >= 2,
+        (Check("upper", lambda rec, k: Fraction(rec.n - rec.gamma_c), _f_1),),
+    ),
+    BoundId.MAIN2: Bound(
+        lambda rec, k: rec.k_connected[k] and rec.max_degree >= 2,
+        (Check("upper", lambda rec, k: Fraction(
+            (rec.max_degree - 2) * rec.n + 2, rec.max_degree + k - 2), _f_k),),
+    ),
+    BoundId.COR3: Bound(_connected_d2, (Check("upper", _cor3, _f_1),)),
+    BoundId.CHAIN: Bound(
+        _connected_d2,
+        (Check("upper", _cor3, lambda rec, k: rec.n - rec.gamma_c),),
+    ),
+    BoundId.GAMMA_LOWER: Bound(
+        _connected_d2,
+        (Check("lower", lambda rec, k: Fraction(rec.n - 2, rec.max_degree - 1),
+               lambda rec, k: rec.gamma_c),),
+    ),
+    BoundId.HAM_CHORDS: Bound(
+        lambda rec, k: k == 1 and rec.n >= 4 and rec.hamiltonian
+        and rec.chord_count >= 1,
+        (Check("upper", lambda rec, k: Fraction(rec.chord_count + 1), _f_1,
+               lambda rec, k: (("chords", rec.chord_count),)),),
+    ),
+    BoundId.HAM_CUBIC: Bound(
+        lambda rec, k: k == 1 and rec.max_degree == 3 and rec.degree3_count >= 2
+        and rec.hamiltonian,
+        (Check("upper", lambda rec, k: Fraction(rec.degree3_count, 2) + 1, _f_1,
+               lambda rec, k: (("degree3", rec.degree3_count),)),),
+    ),
+    BoundId.CYCLE_TREE: Bound(
+        lambda rec, k: k == 1 and rec.cycle_tree_q is not None,
+        (Check("upper", lambda rec, k: Fraction(2 * rec.cycle_tree_q), _f_1,
+               lambda rec, k: (("cycles", rec.cycle_tree_q),)),),
+    ),
+    BoundId.TREE_LEAF: Bound(
+        lambda rec, k: k == 1 and rec.tree and rec.n >= 2,
+        (Check("lower", lambda rec, k: Fraction((rec.leaf_count + 1) // 2), _f_1),
+         Check("upper", lambda rec, k: Fraction(rec.leaf_count - 1), _f_1)),
+    ),
+    BoundId.TREE_COR: Bound(
+        lambda rec, k: k == 1 and rec.tree and rec.max_degree >= 2,
+        (Check("upper", lambda rec, k: _cor3(rec, k) - 1, _f_1),),
+    ),
+    BoundId.K1R: Bound(
+        lambda rec, k: rec.min_degree >= 1,
+        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[k]),
+               lambda rec, k: rec.forcing[_k1r_index(rec, k)],
+               lambda rec, k: (("r", rec.star_free_index),
+                               ("index", _k1r_index(rec, k)))),),
+    ),
+    BoundId.K1R_ALPHA: Bound(
+        lambda rec, k: k == 1 and rec.min_degree >= 1,
+        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[1]),
+               lambda rec, k: rec.forcing[_k1r_index(rec, 1)],
+               lambda rec, k: (("r", rec.star_free_index),
+                               ("index", _k1r_index(rec, 1)))),),
+    ),
+    BoundId.CLAWFREE: Bound(
+        lambda rec, k: rec.min_degree >= 1 and rec.star_free_index == 3,
+        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[k]),
+               lambda rec, k: rec.forcing[2 * k],
+               lambda rec, k: (("index", 2 * k),)),),
+    ),
+}
 
 
 @dataclass(frozen=True)
@@ -73,136 +201,22 @@ class BoundReport:
     detail: tuple[tuple[str, int], ...] = field(default_factory=tuple)
 
 
-def _forcing(rec: InvariantRecord, index: int) -> int:
-    try:
-        return rec.forcing[index]
-    except KeyError:
-        raise MissingInvariantError(
-            f"record lacks the forcing number at index {index}"
-        ) from None
-
-
-def _k_connected(rec: InvariantRecord, k: int) -> bool:
-    try:
-        return rec.k_connected[k]
-    except KeyError:
-        raise MissingInvariantError(
-            f"record lacks the {k}-connectivity flag"
-        ) from None
-
-
-def _checks(bound: BoundId, k: int, rec: InvariantRecord):
-    """Yield (side, bound value, exact value, detail) for applicable checks."""
-    n, dmax, dmin = rec.n, rec.max_degree, rec.min_degree
-
-    if bound is BoundId.LOWER_DEG:
-        yield "lower", Fraction(dmin - k + 1), _forcing(rec, k), ()
-
-    elif bound is BoundId.MAIN:
-        if n >= 2 and dmax >= k and dmin >= 1:
-            val = Fraction((dmax - k + 1) * n, dmax - k + 1 + min(dmin, k))
-            yield "upper", val, _forcing(rec, k), ()
-
-    elif bound is BoundId.KCOR:
-        if n >= 2 and dmin >= k:
-            yield "upper", Fraction((dmax - k + 1) * n, dmax + 1), _forcing(rec, k), ()
-
-    elif bound is BoundId.RATIO:
-        if k == 1 and dmin >= 1:
-            yield "upper", Fraction(dmax * n, dmax + 1), _forcing(rec, 1), ()
-
-    elif bound is BoundId.CONN_KDOM:
-        if _k_connected(rec, k):
-            gkc = rec.gamma_kc.get(k)
-            if gkc is None:
-                raise MissingInvariantError(
-                    f"record lacks the connected {k}-domination number"
-                )
-            yield "upper", Fraction(n - gkc), _forcing(rec, k), ()
-
-    elif bound is BoundId.CONN_DOM:
-        if k == 1 and rec.connected and n >= 2:
-            yield "upper", Fraction(n - rec.gamma_c), _forcing(rec, 1), ()
-
-    elif bound is BoundId.MAIN2:
-        if _k_connected(rec, k) and dmax >= 2:
-            val = Fraction((dmax - 2) * n + 2, dmax + k - 2)
-            yield "upper", val, _forcing(rec, k), ()
-
-    elif bound is BoundId.COR3:
-        if k == 1 and rec.connected and dmax >= 2:
-            yield "upper", Fraction((dmax - 2) * n + 2, dmax - 1), _forcing(rec, 1), ()
-
-    elif bound is BoundId.CHAIN:
-        if k == 1 and rec.connected and dmax >= 2:
-            val = Fraction((dmax - 2) * n + 2, dmax - 1)
-            yield "upper", val, n - rec.gamma_c, ()
-
-    elif bound is BoundId.GAMMA_LOWER:
-        if k == 1 and rec.connected and dmax >= 2:
-            yield "lower", Fraction(n - 2, dmax - 1), rec.gamma_c, ()
-
-    elif bound is BoundId.HAM_CHORDS:
-        if k == 1 and rec.hamiltonian and rec.chord_count >= 1 and n >= 4:
-            t = rec.chord_count
-            yield "upper", Fraction(t + 1), _forcing(rec, 1), (("chords", t),)
-
-    elif bound is BoundId.HAM_CUBIC:
-        if k == 1 and rec.hamiltonian and dmax == 3 and rec.degree3_count >= 2:
-            val = Fraction(rec.degree3_count, 2) + 1
-            yield "upper", val, _forcing(rec, 1), (("degree3", rec.degree3_count),)
-
-    elif bound is BoundId.CYCLE_TREE:
-        if k == 1 and rec.cycle_tree_q is not None:
-            q = rec.cycle_tree_q
-            yield "upper", Fraction(2 * q), _forcing(rec, 1), (("cycles", q),)
-
-    elif bound is BoundId.TREE_LEAF:
-        if k == 1 and rec.tree and n >= 2:
-            f1 = _forcing(rec, 1)
-            yield "lower", Fraction((rec.leaf_count + 1) // 2), f1, ()
-            yield "upper", Fraction(rec.leaf_count - 1), f1, ()
-
-    elif bound is BoundId.TREE_COR:
-        if k == 1 and rec.tree and dmax >= 2:
-            val = Fraction((dmax - 2) * n + 2, dmax - 1) - 1
-            yield "upper", val, _forcing(rec, 1), ()
-
-    elif bound is BoundId.K1R:
-        if dmin >= 1:
-            r = rec.star_free_index
-            idx = k * (r - 1)
-            val = Fraction(n - rec.alpha[k])
-            yield "upper", val, _forcing(rec, idx), (("r", r), ("index", idx))
-
-    elif bound is BoundId.K1R_ALPHA:
-        if k == 1 and dmin >= 1:
-            r = rec.star_free_index
-            val = Fraction(n - rec.alpha[1])
-            yield "upper", val, _forcing(rec, r - 1), (("r", r), ("index", r - 1))
-
-    elif bound is BoundId.CLAWFREE:
-        if dmin >= 1 and rec.star_free_index == 3:
-            val = Fraction(n - rec.alpha[k])
-            yield "upper", val, _forcing(rec, 2 * k), (("index", 2 * k),)
-
-    else:  # pragma: no cover
-        raise AssertionError(f"unhandled bound {bound}")
-
-
 def bound_value(
     bound: BoundId, g: Graph, k: int, rec: InvariantRecord, side: str | None = None
 ) -> Fraction | None:
     """The exact rational bound value, or None when hypotheses fail.
 
     ``side`` selects the direction for the one two-sided bound
-    (TREE_LEAF); by default the first applicable direction is returned.
+    (TREE_LEAF); by default the first direction is returned.
     """
     if g.n != rec.n:
-        raise MissingInvariantError("record does not match the graph")
-    for got_side, value, _, _ in _checks(bound, k, rec):
-        if side is None or got_side == side:
-            return value
+        raise GraphError("record does not match the graph")
+    entry = BOUNDS[bound]
+    if not entry.gate(rec, k):
+        return None
+    for check in entry.checks:
+        if side is None or check.side == side:
+            return check.value(rec, k)
     return None
 
 
@@ -216,46 +230,40 @@ def evaluate_bounds(
     """Evaluate bounds against exact values; one report per check.
 
     Reports come out sorted by k, then bound id (declaration order),
-    then side. TREE_LEAF contributes a lower and an upper report.
+    then side. TREE_LEAF contributes a lower and an upper report; a
+    not-applicable report takes the side of the entry's last check.
     """
+    if any(k < 1 for k in ks):
+        raise ValueError(f"forcing indices must be positive: {tuple(ks)}")
     if rec is None:
-        rec = compute_record(g, ks)
+        rec = compute_record(g)
     reports = []
     for k in sorted(set(ks)):
         for bound in ids:
-            produced = False
-            for side, value, exact, detail in _checks(bound, k, rec):
-                produced = True
-                slack = value - exact if side == "upper" else Fraction(exact) - value
-                reports.append(
-                    BoundReport(
-                        graph_id=graph_id,
-                        k=k,
-                        bound=bound,
-                        side=side,
-                        applicable=True,
-                        bound_value=value,
-                        exact_value=exact,
-                        slack=slack,
-                        equality=slack == 0,
-                        satisfied=slack >= 0,
-                        detail=detail,
-                    )
-                )
-            if not produced:
-                reports.append(
-                    BoundReport(
-                        graph_id=graph_id,
-                        k=k,
-                        bound=bound,
-                        side="upper" if bound not in _LOWER_ONLY else "lower",
-                        applicable=False,
-                    )
-                )
+            entry = BOUNDS[bound]
+            if not entry.gate(rec, k):
+                reports.append(BoundReport(
+                    graph_id=graph_id, k=k, bound=bound,
+                    side=entry.checks[-1].side, applicable=False,
+                ))
+                continue
+            for check in entry.checks:
+                value, exact = check.value(rec, k), check.exact(rec, k)
+                slack = value - exact if check.side == "upper" else exact - value
+                reports.append(BoundReport(
+                    graph_id=graph_id,
+                    k=k,
+                    bound=bound,
+                    side=check.side,
+                    applicable=True,
+                    bound_value=value,
+                    exact_value=exact,
+                    slack=slack,
+                    equality=slack == 0,
+                    satisfied=slack >= 0,
+                    detail=check.detail(rec, k),
+                ))
     return reports
-
-
-_LOWER_ONLY = frozenset({BoundId.LOWER_DEG, BoundId.GAMMA_LOWER})
 
 
 @dataclass(frozen=True)
@@ -279,7 +287,7 @@ def comparison_main2_vs_main(
     informational only. Requires both bounds applicable.
     """
     if rec is None:
-        rec = compute_record(g, [k])
+        rec = compute_record(g)
     main = bound_value(BoundId.MAIN, g, k, rec)
     main2 = bound_value(BoundId.MAIN2, g, k, rec)
     if main is None or main2 is None:
@@ -290,7 +298,7 @@ def comparison_main2_vs_main(
         tighter = "MAIN"
     else:
         tighter = "tie"
-    asserted = _k_connected(rec, k) and rec.min_degree >= k and k <= 2
+    asserted = rec.k_connected[k] and rec.min_degree >= k and k <= 2
     return ComparisonReport(
         k=k,
         general_value=main,

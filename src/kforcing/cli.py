@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .bounds import ALL_BOUNDS, BoundId, evaluate_bounds
+from .bounds import ALL_BOUNDS, BOUNDS, Bound, BoundId, evaluate_bounds
 from .families import (
     FamilySpec,
     complete_bipartite_parts,
@@ -42,7 +42,7 @@ from .invariants import (
     min_star_free_index,
     path_cover_number,
 )
-from .records import DEFAULT_MAX_N, compute_record
+from .records import DEFAULT_MAX_N, InvariantRecord, compute_record
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -175,6 +175,8 @@ def _parse_ks(text: str, max_degree: int) -> list[int]:
     out = []
     for part in text.split(","):
         out.extend(_expand_item(part.strip()))
+    if not out:
+        raise ValueError(f"no forcing index in {text!r}")
     if any(k < 1 for k in out):
         raise ValueError(f"forcing indices must be positive: {text!r}")
     return sorted(set(out))
@@ -196,14 +198,18 @@ def _frac(x: Fraction | None) -> str | None:
     return None if x is None else str(x)
 
 
-def _verify_one(task: tuple[int, str, str, str, int]) -> tuple[int, list[dict], dict]:
-    """Worker: evaluate all configured bounds on one graph."""
-    index, g6, k_text, bounds_text, max_n = task
+def _verify_one(
+    task: tuple[int, str, list[int] | None, tuple[BoundId, ...], int]
+) -> tuple[int, list[dict], dict]:
+    """Worker: evaluate the configured bounds on one graph.
+
+    ``ks`` None means auto: 1 up to the graph's maximum degree.
+    """
+    index, g6, ks, ids, max_n = task
     g = parse_graph6(g6)
-    dmax = max(g.degree(v) for v in range(g.n)) if g.n else 0
-    ks = _parse_ks(k_text, dmax)
-    ids = _parse_bounds(bounds_text)
-    rec = compute_record(g, ks, max_n=max_n)
+    rec = compute_record(g, max_n=max_n)
+    if ks is None:
+        ks = _parse_ks("auto", rec.max_degree)
     lines = []
     equalities = []
     for rep in evaluate_bounds(g, ks, ids, graph_id=index, rec=rec):
@@ -241,9 +247,17 @@ def _verify_one(task: tuple[int, str, str, str, int]) -> tuple[int, list[dict], 
     return index, lines, row
 
 
-def cmd_verify(cfg: CampaignConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     try:
+        cfg = _campaign_from_args(args)
+        ks = None if cfg.k == "auto" else _parse_ks(cfg.k, 0)
+        ids = _parse_bounds(cfg.bounds)
+        if cfg.sample is not None and cfg.sample < 0:
+            raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
         graphs = _load_graphs(cfg)
+        for index, (g6, g) in enumerate(graphs):
+            if g.n == 0:
+                raise GraphError(f"graph {index} has no vertices: graph6={g6}")
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -256,7 +270,7 @@ def cmd_verify(cfg: CampaignConfig) -> int:
 
     skipped = [(i, g6) for i, (g6, g) in indexed if g.n > cfg.max_n]
     work = [
-        (i, g6, cfg.k, cfg.bounds, cfg.max_n)
+        (i, g6, ks, ids, cfg.max_n)
         for i, (g6, g) in indexed
         if g.n <= cfg.max_n
     ]
@@ -371,48 +385,48 @@ def _classify_achiever(g: Graph) -> str:
     return "OTHER"
 
 
+_SEARCH_TARGETS = {"cor3": BoundId.COR3, "conn-dom": BoundId.CONN_DOM}
+
+
+def _equality_at_k1(entry: Bound, rec: InvariantRecord) -> Fraction | None:
+    """The bound value when the entry holds with equality at k = 1."""
+    if not entry.gate(rec, 1):
+        return None
+    check, = entry.checks
+    value = check.value(rec, 1)
+    return value if value == check.exact(rec, 1) else None
+
+
 def search_equality(
     graphs: list[tuple[str, Graph]], target: str, max_n: int = DEFAULT_MAX_N
 ) -> EqualitySearchResult:
     """Find every connected graph achieving the target equality."""
-    if target not in ("cor3", "conn-dom"):
+    if target not in _SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
+    entry = BOUNDS[_SEARCH_TARGETS[target]]
     achievers = []
     skipped = 0
     for index, (g6, g) in enumerate(graphs):
         if g.n > max_n:
             skipped += 1
             continue
-        if g.n < 2 or not g.is_connected():
+        if g.n < 2:
             continue
-        dmax = degree_profile(g)[0]
-        f1 = k_forcing_number(g, 1).value
-        if target == "cor3":
-            if dmax < 2:
-                continue
-            bound = Fraction((dmax - 2) * g.n + 2, dmax - 1)
-            hit = Fraction(f1) == bound
-        else:
-            gc = connected_k_domination(g, 1)[0]
-            bound = Fraction(g.n - gc)
-            hit = f1 == g.n - gc
-        if not hit:
+        rec = compute_record(g, max_n)
+        value = _equality_at_k1(entry, rec)
+        if value is None:
             continue
         # re-verify the equality from the serialized form before reporting
         g2 = parse_graph6(g6)
-        f1_again = k_forcing_number(g2, 1).value
-        if target == "cor3":
-            assert Fraction(f1_again) == bound
-        else:
-            assert f1_again == g2.n - connected_k_domination(g2, 1)[0]
+        assert _equality_at_k1(entry, compute_record(g2, max_n)) == value
         achievers.append(
             {
                 "index": index,
                 "graph6": g6,
                 "n": g.n,
-                "max_degree": dmax,
-                "f1": f1,
-                "bound_value": str(bound),
+                "max_degree": rec.max_degree,
+                "f1": rec.forcing[1],
+                "bound_value": str(value),
                 "classification": _classify_achiever(g2),
             }
         )
@@ -533,18 +547,21 @@ def cmd_compute(args: argparse.Namespace) -> int:
                 "histogram": {str(d): c for d, c in sorted(hist.items())},
             }
         elif name == "record":
-            dmax = max(g.degree(v) for v in range(g.n))
-            ks = _parse_ks(args.ks, dmax)
-            rec = compute_record(g, ks, max_n=args.max_n)
+            rec = compute_record(g, max_n=args.max_n)
+            ks = _parse_ks(args.ks, rec.max_degree)
+            r = rec.star_free_index
+            # the indices the bounds read at these ks, whatever their gates
+            forcing_ks = {1, r - 1} | {i for k in ks for i in (k, k * (r - 1), 2 * k)}
+            ks = sorted({1, *ks})
             out |= {
                 "max_degree": rec.max_degree,
                 "min_degree": rec.min_degree,
                 "leaf_count": rec.leaf_count,
                 "connected": rec.connected,
-                "forcing": {str(i): v for i, v in sorted(rec.forcing.items())},
+                "forcing": {str(i): rec.forcing[i] for i in sorted(forcing_ks)},
                 "gamma_c": rec.gamma_c,
-                "gamma_kc": {str(i): v for i, v in sorted(rec.gamma_kc.items())},
-                "alpha": {str(i): v for i, v in sorted(rec.alpha.items())},
+                "gamma_kc": {str(i): rec.gamma_kc[i] for i in ks},
+                "alpha": {str(i): rec.alpha[i] for i in ks},
                 "hamiltonian": rec.hamiltonian,
                 "chord_count": rec.chord_count,
                 "cycle_tree_q": rec.cycle_tree_q,
@@ -668,7 +685,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--sample", type=int, default=None,
                     help="verify a seeded random sample of this many graphs")
     pv.add_argument("--seed", type=int, default=None)
-    pv.set_defaults(func=lambda a: cmd_verify(_campaign_from_args(a)))
+    pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("search", help="equality-case search over a corpus")
     ps.add_argument("--target", required=True, choices=("cor3", "conn-dom"))

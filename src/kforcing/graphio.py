@@ -12,7 +12,7 @@ declares an isolated (or just present) vertex, '#' starts a comment.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator
 
 from .graph import Graph, GraphError
 
@@ -119,14 +119,6 @@ def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
 def read_graph6_file(path: str) -> list[Graph]:
     with open(path, encoding="ascii") as fh:
         return list(read_graph6_lines(fh))
-
-
-def write_graph6_file(graphs: Iterable[Graph], fh: TextIO) -> int:
-    count = 0
-    for g in graphs:
-        fh.write(write_graph6(g) + "\n")
-        count += 1
-    return count
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -61,58 +61,16 @@ def k_independence_number(g: Graph, k: int) -> tuple[int, int]:
 
 # -- path cover of trees ------------------------------------------------
 
-_PATH_COVER_BRUTE_MAX = 10
+def path_cover_number(t: Graph) -> tuple[int, tuple[int, ...]]:
+    """Minimum number of vertex-disjoint induced paths covering a tree.
 
-
-def _assert_tree(t: Graph) -> None:
+    Returns (count, partition as a tuple of vertex masks). A partition
+    into p paths uses exactly n - p tree edges with every vertex meeting
+    at most 2 of them, so minimizing p is maximizing such an edge
+    subset; that is a two-state DP pruned up from the leaves.
+    """
     if not t.is_tree():
         raise GraphError("path cover is defined here for trees only")
-
-
-def _induces_path(t: Graph, mask: int) -> bool:
-    # In a tree, connected + all internal degrees <= 2 is exactly a path.
-    if not t.is_connected_within(mask):
-        return False
-    return all((t.adj[v] & mask).bit_count() <= 2 for v in iter_bits(mask))
-
-
-def path_cover_brute(t: Graph) -> tuple[int, tuple[int, ...]]:
-    """Minimum path partition by exhaustive dynamic programming over subsets."""
-    _assert_tree(t)
-    paths = [m for m in range(1, 1 << t.n) if _induces_path(t, m)]
-    best: dict[int, int] = {0: 0}
-    choice: dict[int, int] = {}
-    for mask in range(1, 1 << t.n):
-        low = mask & -mask
-        best_parts = t.n + 1
-        best_piece = low
-        for piece in paths:
-            if piece & ~mask or not piece & low:
-                continue
-            parts = best[mask & ~piece] + 1
-            if parts < best_parts:
-                best_parts = parts
-                best_piece = piece
-        best[mask] = best_parts
-        choice[mask] = best_piece
-    parts = []
-    mask = t.full_mask
-    while mask:
-        piece = choice[mask]
-        parts.append(piece)
-        mask &= ~piece
-    return best[t.full_mask], tuple(parts)
-
-
-def path_cover_tree_dp(t: Graph) -> tuple[int, tuple[int, ...]]:
-    """Minimum path partition via the max degree-constrained subforest.
-
-    A partition into p paths uses exactly n - p tree edges with every
-    vertex meeting at most 2 of them, so minimizing p is maximizing
-    such an edge subset; that is a two-state DP pruned up from the
-    leaves.
-    """
-    _assert_tree(t)
     n = t.n
     if n == 1:
         return 1, (1,)
@@ -174,19 +132,6 @@ def path_cover_tree_dp(t: Graph) -> tuple[int, tuple[int, ...]]:
         remaining &= ~comp
     assert len(parts) == n - dp_free[0]
     return len(parts), tuple(parts)
-
-
-def path_cover_number(t: Graph) -> tuple[int, tuple[int, ...]]:
-    """Minimum number of vertex-disjoint induced paths covering a tree.
-
-    Returns (count, partition as a tuple of vertex masks). Dispatches
-    to the exhaustive solver at small sizes and the tree DP beyond;
-    the two agree on the overlap range (enforced by tests).
-    """
-    _assert_tree(t)
-    if t.n <= _PATH_COVER_BRUTE_MAX:
-        return path_cover_brute(t)
-    return path_cover_tree_dp(t)
 
 
 # -- spanning trees ------------------------------------------------------

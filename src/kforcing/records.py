@@ -1,15 +1,16 @@
-"""Bundled exact invariant values for one graph.
+"""Exact invariant values for one graph, each computed when first read.
 
-:func:`compute_record` runs every exact solver a bounds campaign
-needs (degree profile, forcing numbers, domination, independence,
-Hamiltonicity, cycle-tree shape, star-freeness) and freezes the
-results in an :class:`InvariantRecord`.
+:func:`compute_record` checks the exact scope and computes the degree
+profile and components; every solver-backed value (forcing numbers,
+domination, independence, connectivity, Hamiltonicity, cycle-tree shape,
+star-freeness, path cover) runs only when a bound gate, a bound formula
+or a caller reads it, and is kept for later reads.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable
 
 from .forcing import k_forcing_number
 from .graph import Graph, GraphError, components, degree_profile
@@ -27,96 +28,74 @@ from .invariants import (
 DEFAULT_MAX_N = 12
 
 
-@dataclass(frozen=True)
+class _OnDemand(dict):
+    """A dict that computes a missing key with ``compute(key)`` and keeps it."""
+
+    def __init__(self, compute: Callable[[int], object]):
+        super().__init__()
+        self._compute = compute
+
+    def __missing__(self, key: int):
+        value = self[key] = self._compute(key)
+        return value
+
+
 class InvariantRecord:
     """Exact invariant values for one graph.
 
-    Dict-valued fields are keyed by the forcing/domination index they
-    were computed at. ``forcing`` always covers any extra indices the
-    star-freeness bounds need (k(r-1), 2k, r-1).
+    ``forcing``, ``gamma_kc``, ``alpha`` and ``k_connected`` are keyed by
+    the index they are computed at; looking up a missing index runs the
+    solver. ``get`` never computes, so it reports only what is known.
     """
 
-    n: int
-    m: int
-    max_degree: int
-    min_degree: int
-    leaf_count: int
-    degree_histogram: Mapping[int, int]
-    component_count: int
-    connected: bool
-    tree: bool
-    forcing: Mapping[int, int]
-    gamma_c: int | None
-    gamma_kc: Mapping[int, int | None]
-    alpha: Mapping[int, int]
-    k_connected: Mapping[int, bool]
-    hamiltonian: bool
-    chord_count: int | None
-    cycle_tree_q: int | None
-    star_free_index: int
-    path_cover: int | None = None
-    ks: tuple[int, ...] = field(default_factory=tuple)
+    def __init__(self, g: Graph):
+        self.graph = g
+        self.n, self.m = g.n, g.m
+        self.max_degree, self.min_degree, self.leaf_count, hist = degree_profile(g)
+        self.degree_histogram = dict(hist)
+        self.component_count = len(components(g))
+        self.connected = self.component_count == 1
+        self.tree = self.connected and g.m == g.n - 1
+        self.forcing = _OnDemand(lambda k: k_forcing_number(g, k).value)
+        self.gamma_kc = _OnDemand(
+            lambda k: (res := connected_k_domination(g, k)) and res[0]
+        )
+        self.alpha = _OnDemand(lambda k: k_independence_number(g, k)[0])
+        self.k_connected = _OnDemand(lambda k: vertex_k_connected(g, k))
+
+    @property
+    def gamma_c(self) -> int | None:
+        return self.gamma_kc[1]
 
     @property
     def degree3_count(self) -> int:
         return self.degree_histogram.get(3, 0)
 
+    @cached_property
+    def hamiltonian(self) -> bool:
+        return self.n >= 3 and hamiltonian_cycle(self.graph) is not None
 
-def compute_record(
-    g: Graph, ks: Sequence[int], max_n: int = DEFAULT_MAX_N
-) -> InvariantRecord:
-    """Compute every invariant the bound formulas and gates consume."""
+    @property
+    def chord_count(self) -> int | None:
+        return self.m - self.n if self.hamiltonian else None
+
+    @cached_property
+    def cycle_tree_q(self) -> int | None:
+        return is_cycle_tree(self.graph)[1]
+
+    @cached_property
+    def star_free_index(self) -> int:
+        return min_star_free_index(self.graph)
+
+    @cached_property
+    def path_cover(self) -> int | None:
+        return path_cover_number(self.graph)[0] if self.tree else None
+
+
+def compute_record(g: Graph, max_n: int = DEFAULT_MAX_N) -> InvariantRecord:
+    """The invariant record of ``g``, within the exact scope ``max_n``."""
     if g.n < 1:
         raise GraphError("invariants undefined for the empty graph")
     if g.n > max_n:
         raise ExactScopeError(f"exact invariants capped at n={max_n}, got {g.n}")
-    ks = tuple(sorted(set(ks)))
-    if any(k < 1 for k in ks):
-        raise ValueError(f"forcing indices must be positive: {ks}")
-
-    max_deg, min_deg, leaves, hist = degree_profile(g)
-    comp_count = len(components(g))
-    connected = comp_count == 1
-    tree = connected and g.m == g.n - 1
-
-    r = min_star_free_index(g)
-    forcing_ks = set(ks) | {1}
-    for k in ks:
-        forcing_ks.add(k * (r - 1))
-        forcing_ks.add(2 * k)
-    forcing_ks.add(r - 1)
-    forcing = {k: k_forcing_number(g, k).value for k in sorted(forcing_ks)}
-
-    gamma_kc: dict[int, int | None] = {}
-    for k in set(ks) | {1}:
-        res = connected_k_domination(g, k)
-        gamma_kc[k] = res[0] if res else None
-    alpha = {k: k_independence_number(g, k)[0] for k in set(ks) | {1}}
-    k_conn = {k: vertex_k_connected(g, k) for k in ks}
-
-    ham = hamiltonian_cycle(g) if g.n >= 3 else None
-    cycle_tree, q = is_cycle_tree(g)
-    pc = path_cover_number(g)[0] if tree else None
-
-    return InvariantRecord(
-        n=g.n,
-        m=g.m,
-        max_degree=max_deg,
-        min_degree=min_deg,
-        leaf_count=leaves,
-        degree_histogram=dict(hist),
-        component_count=comp_count,
-        connected=connected,
-        tree=tree,
-        forcing=forcing,
-        gamma_c=gamma_kc[1],
-        gamma_kc=gamma_kc,
-        alpha=alpha,
-        k_connected=k_conn,
-        hamiltonian=ham is not None,
-        chord_count=(g.m - g.n) if ham is not None else None,
-        cycle_tree_q=q if cycle_tree else None,
-        star_free_index=r,
-        path_cover=pc,
-        ks=ks,
-    )
+    return InvariantRecord(g)

@@ -156,7 +156,7 @@ def test_criterion_5_equality_reproductions():
     failures = []
 
     def expect_equality(g, k, bound, side=None, tag=""):
-        rec = compute_record(g, [k], max_n=max(12, g.n))
+        rec = compute_record(g, max_n=max(12, g.n))
         val = bound_value(bound, g, k, rec, side=side)
         idx = k
         if bound in (BoundId.RATIO, BoundId.COR3, BoundId.CONN_DOM,

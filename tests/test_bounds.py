@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,7 +15,6 @@ from kforcing import (
     evaluate_bounds,
     k_forcing_number,
 )
-from kforcing.bounds import MissingInvariantError
 from kforcing.families import (
     complete,
     complete_bipartite,
@@ -29,33 +27,31 @@ from kforcing.families import (
     subdivided_star,
 )
 
-
-def rec_for(g, ks=(1,)):
-    return compute_record(g, ks)
+from conftest import DATA
 
 
 def test_main_bound_value_k4():
     g = complete(4)
-    assert bound_value(BoundId.MAIN, g, 1, rec_for(g)) == Fraction(3)
+    assert bound_value(BoundId.MAIN, g, 1, compute_record(g)) == Fraction(3)
     assert k_forcing_number(g, 1).value == 3
 
 
 def test_ratio_is_three_quarters_for_cubic():
     for g in (complete(4), complete_bipartite(3, 3)):
-        rec = rec_for(g)
+        rec = compute_record(g)
         assert bound_value(BoundId.RATIO, g, 1, rec) == Fraction(3 * g.n, 4)
 
 
 def test_cor3_is_half_n_plus_one_for_max_degree_3():
     g = pendant_path(3)  # max degree 3
     assert degree_profile(g)[0] == 3
-    assert bound_value(BoundId.COR3, g, 1, rec_for(g)) == Fraction(g.n, 2) + 1
+    assert bound_value(BoundId.COR3, g, 1, compute_record(g)) == Fraction(g.n, 2) + 1
 
 
 def test_main2_equality_on_complete_for_k_1_and_2():
     for d in (2, 3, 4, 5):
         g = complete(d + 1)
-        rec = rec_for(g, (1, 2))
+        rec = compute_record(g)
         for k in (1, 2):
             val = bound_value(BoundId.MAIN2, g, k, rec)
             assert val == k_forcing_number(g, k).value
@@ -64,28 +60,28 @@ def test_main2_equality_on_complete_for_k_1_and_2():
 def test_cor3_equality_on_balanced_bipartite():
     for d in (2, 3, 4):
         g = complete_bipartite(d, d)
-        val = bound_value(BoundId.COR3, g, 1, rec_for(g))
+        val = bound_value(BoundId.COR3, g, 1, compute_record(g))
         assert val == k_forcing_number(g, 1).value == 2 * d - 2
 
 
 def test_gates_yield_not_applicable():
     k2 = path(2)
-    rec = rec_for(k2)
+    rec = compute_record(k2)
     assert bound_value(BoundId.COR3, k2, 1, rec) is None  # max degree 1
-    assert bound_value(BoundId.MAIN, k2, 2, rec_for(k2, (2,))) is None  # D < k
+    assert bound_value(BoundId.MAIN, k2, 2, compute_record(k2)) is None  # D < k
     c5 = cycle(5)
-    assert bound_value(BoundId.HAM_CHORDS, c5, 1, rec_for(c5)) is None  # t = 0
+    assert bound_value(BoundId.HAM_CHORDS, c5, 1, compute_record(c5)) is None  # t = 0
     k3 = complete(3)
-    assert bound_value(BoundId.HAM_CHORDS, k3, 1, rec_for(k3)) is None  # n < 4
-    assert bound_value(BoundId.TREE_LEAF, c5, 1, rec_for(c5)) is None  # not a tree
+    assert bound_value(BoundId.HAM_CHORDS, k3, 1, compute_record(k3)) is None  # n < 4
+    assert bound_value(BoundId.TREE_LEAF, c5, 1, compute_record(c5)) is None  # not a tree
     iso = disjoint_union(path(2), complete(1))
-    assert bound_value(BoundId.RATIO, iso, 1, rec_for(iso)) is None  # min degree 0
-    assert bound_value(BoundId.CONN_DOM, iso, 1, rec_for(iso)) is None
+    assert bound_value(BoundId.RATIO, iso, 1, compute_record(iso)) is None  # min degree 0
+    assert bound_value(BoundId.CONN_DOM, iso, 1, compute_record(iso)) is None
 
 
 def test_lower_deg_always_applicable():
     for g in (path(2), cycle(5), disjoint_union(path(2), complete(1))):
-        rec = rec_for(g)
+        rec = compute_record(g)
         val = bound_value(BoundId.LOWER_DEG, g, 1, rec)
         assert val is not None
         assert rec.forcing[1] >= val
@@ -108,29 +104,29 @@ def test_tree_leaf_two_sided():
 def test_tree_leaf_values_on_families():
     for spine in (2, 3, 4):
         t = double_leaf_caterpillar(spine)
-        low = bound_value(BoundId.TREE_LEAF, t, 1, rec_for(t), side="lower")
+        low = bound_value(BoundId.TREE_LEAF, t, 1, compute_record(t), side="lower")
         assert low == k_forcing_number(t, 1).value  # lower end is tight
     for rays in (3, 4):
         t = subdivided_star(rays, 1)
-        up = bound_value(BoundId.TREE_LEAF, t, 1, rec_for(t), side="upper")
+        up = bound_value(BoundId.TREE_LEAF, t, 1, compute_record(t), side="upper")
         assert up == k_forcing_number(t, 1).value  # upper end is tight
 
 
 def test_tree_cor_tight_on_paths():
     t = path(6)
-    assert bound_value(BoundId.TREE_COR, t, 1, rec_for(t)) == Fraction(1)
+    assert bound_value(BoundId.TREE_COR, t, 1, compute_record(t)) == Fraction(1)
 
 
 def test_cycle_tree_bound():
     g = cycle_tree((3, 4, 3))
-    rec = rec_for(g)
+    rec = compute_record(g)
     assert bound_value(BoundId.CYCLE_TREE, g, 1, rec) == Fraction(6)
     assert rec.forcing[1] <= 6
 
 
 def test_star_free_bounds_pick_smallest_r():
     g = star(4)  # K_{1,4}: free of K_{1,5} but not K_{1,4}
-    rec = rec_for(g)
+    rec = compute_record(g)
     assert rec.star_free_index == 5
     reports = [
         r for r in evaluate_bounds(g, [1], ids=(BoundId.K1R,)) if r.applicable
@@ -160,7 +156,7 @@ def test_ratio_equality_on_disjoint_complete_graphs():
 
 def test_report_ordering_and_exactness():
     reports = evaluate_bounds(cycle(5), [2, 1])
-    keys = [(r.k, r.bound.order, r.side) for r in reports]
+    keys = [(r.k, list(BoundId).index(r.bound), r.side) for r in reports]
     assert keys == sorted(keys)
     for r in reports:
         if r.applicable:
@@ -182,18 +178,27 @@ def test_chain_links_hold_separately(connected_upto_6):
 
 def test_violation_is_reported_loudly():
     g = cycle(6)
-    rec = rec_for(g)
-    broken = replace(rec, forcing={**rec.forcing, 1: 6})
-    reports = evaluate_bounds(g, [1], ids=(BoundId.CONN_DOM,), rec=broken)
+    rec = compute_record(g)
+    rec.forcing[1] = 6
+    reports = evaluate_bounds(g, [1], ids=(BoundId.CONN_DOM,), rec=rec)
     rep = [r for r in reports if r.applicable][0]
     assert rep.satisfied is False and rep.slack < 0
 
 
-def test_missing_invariant_raises():
+def test_missing_invariant_computed_on_demand():
     g = cycle(6)
-    rec = compute_record(g, [1])
-    with pytest.raises(MissingInvariantError):
-        evaluate_bounds(g, [3], rec=rec)
+    rec = compute_record(g)
+    evaluate_bounds(g, [3], rec=rec)
+    assert 3 in rec.forcing  # filled by the bounds, not by the lookup below
+    assert rec.forcing[3] == k_forcing_number(g, 3).value
+
+
+def test_gated_off_invariant_is_never_computed():
+    g = path(4)
+    rec = compute_record(g)
+    evaluate_bounds(g, [1, 2], rec=rec)
+    assert 2 not in rec.gamma_kc  # CONN_KDOM needs 2-connectivity, which P4 lacks
+    assert rec.k_connected[2] is False
 
 
 def test_comparison_examples():
@@ -219,12 +224,20 @@ def test_comparison_improvement_holds_on_corpus(connected_upto_6):
         for k in (1, 2):
             if dmax < max(k, 2) or dmin < k:
                 continue
-            rec = compute_record(g, [k])
+            rec = compute_record(g)
             if not rec.k_connected[k]:
                 continue
             rep = comparison_main2_vs_main(g, k, rec)
             assert rep.improvement_asserted
             assert rep.connected_value <= rep.general_value
+
+
+def test_readme_bounds_table_mirrors_bound_ids():
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    table = readme.split("### Bounds", 1)[1].split("\n\n")
+    rows = next(block for block in table if block.startswith("| Id"))
+    ids = [line.split("|")[1].strip() for line in rows.splitlines()[2:]]
+    assert ids == [b.value for b in BoundId]
 
 
 def test_all_bound_ids_covered():
@@ -239,7 +252,7 @@ def test_gamma_lower_equality_cases():
     cases += [cycle(n) for n in (3, 5, 8)]
     cases += [star(4), complete(5)]  # max degree n-1
     for g in cases:
-        rec = rec_for(g)
+        rec = compute_record(g)
         val = bound_value(BoundId.GAMMA_LOWER, g, 1, rec)
         assert val == rec.gamma_c, g
 
@@ -248,6 +261,6 @@ def test_kcor_equality_on_complete_unions_for_general_k():
     for d in (3, 4):
         for k in (2, 3):
             g = disjoint_union(complete(d + 1), complete(d + 1))
-            rec = compute_record(g, [k])
+            rec = compute_record(g)
             val = bound_value(BoundId.KCOR, g, k, rec)
             assert val == rec.forcing[k] == 2 * (d + 1 - k)

@@ -152,6 +152,25 @@ def test_verify_scope_skip(tmp_path):
     assert "skipped=1" in proc.stdout and "skipped (n over scope cap" in proc.stdout
 
 
+@pytest.mark.parametrize("g6_lines, args", [
+    ("?\n", []),  # the empty graph
+    ("Dhc\n?\n", ["--jobs", "2"]),
+    ("Dhc\n", ["--k", "0"]),
+    ("Dhc\n", ["--k", "x"]),
+    ("Dhc\n", ["--k", "2..1"]),  # an empty range would verify nothing
+    ("Dhc\n", ["--bounds", "FOO"]),
+    ("Dhc\n", ["--config", "/nonexistent/campaign.cfg"]),
+    ("Dhc\n", ["--sample", "-1"]),
+])
+def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
+    src = tmp_path / "in.g6"
+    src.write_text(g6_lines)
+    proc = run_cli("verify", "--input", str(src), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_verify_family_spec_input(tmp_path):
     out = tmp_path / "ct.jsonl"
     proc = run_cli("verify", "--spec", "cycle_tree:3..5,3..5", "--k", "1",

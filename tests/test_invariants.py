@@ -31,7 +31,6 @@ from kforcing.families import (
     star,
     subdivided_star,
 )
-from kforcing.invariants import path_cover_brute, path_cover_tree_dp
 
 
 # -- independent oracles (set-based, no bitmask machinery) -------------------
@@ -168,6 +167,41 @@ def test_alpha_against_oracle_on_corpus(connected_upto_6):
 
 # -- path cover ----------------------------------------------------------------
 
+def _induces_path(t: Graph, mask: int) -> bool:
+    # In a tree, connected + all internal degrees <= 2 is exactly a path.
+    if not t.is_connected_within(mask):
+        return False
+    return all((t.adj[v] & mask).bit_count() <= 2 for v in vertices_from(mask))
+
+
+def path_cover_brute(t: Graph) -> tuple[int, tuple[int, ...]]:
+    """Oracle: minimum path partition by dynamic programming over all subsets."""
+    assert t.is_tree()
+    paths = [m for m in range(1, 1 << t.n) if _induces_path(t, m)]
+    best: dict[int, int] = {0: 0}
+    choice: dict[int, int] = {}
+    for mask in range(1, 1 << t.n):
+        low = mask & -mask
+        best_parts = t.n + 1
+        best_piece = low
+        for piece in paths:
+            if piece & ~mask or not piece & low:
+                continue
+            parts = best[mask & ~piece] + 1
+            if parts < best_parts:
+                best_parts = parts
+                best_piece = piece
+        best[mask] = best_parts
+        choice[mask] = best_piece
+    parts = []
+    mask = t.full_mask
+    while mask:
+        piece = choice[mask]
+        parts.append(piece)
+        mask &= ~piece
+    return best[t.full_mask], tuple(parts)
+
+
 def test_path_cover_examples():
     for n in (1, 2, 5, 9):
         assert path_cover_number(path(n))[0] == 1
@@ -213,7 +247,7 @@ def test_brute_and_dp_agree_on_all_small_trees(trees_by_n):
     for n in range(1, 11):
         for t in trees_by_n[n]:
             vb, pb = path_cover_brute(t)
-            vd, pd = path_cover_tree_dp(t)
+            vd, pd = path_cover_number(t)
             assert vb == vd
             _check_partition(t, pb)
             _check_partition(t, pd)

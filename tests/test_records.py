@@ -7,13 +7,14 @@ from kforcing import (
     disjoint_union,
     k_forcing_number,
     k_independence_number,
+    vertex_k_connected,
 )
 from kforcing.families import complete, cycle, cycle_tree, path, star
 
 
 def test_record_matches_direct_computations():
     g = cycle(6)
-    rec = compute_record(g, [1, 2])
+    rec = compute_record(g)
     assert (rec.n, rec.m) == (6, 6)
     assert (rec.max_degree, rec.min_degree, rec.leaf_count) == (2, 2, 0)
     assert rec.connected and rec.component_count == 1
@@ -22,7 +23,9 @@ def test_record_matches_direct_computations():
     assert rec.forcing[2] == 1
     assert rec.gamma_c == connected_k_domination(g, 1)[0] == 4
     assert rec.alpha[1] == k_independence_number(g, 1)[0] == 3
-    assert rec.k_connected == {1: True, 2: True}
+    assert [rec.k_connected[k] for k in (1, 2)] == [
+        vertex_k_connected(g, k) for k in (1, 2)
+    ] == [True, True]
     assert rec.hamiltonian and rec.chord_count == 0
     assert rec.cycle_tree_q == 1
     assert rec.star_free_index == 3
@@ -31,7 +34,7 @@ def test_record_matches_direct_computations():
 
 def test_record_on_tree():
     t = star(4)
-    rec = compute_record(t, [1])
+    rec = compute_record(t)
     assert rec.tree and rec.path_cover == 3
     assert rec.leaf_count == 4
     assert not rec.hamiltonian and rec.chord_count is None
@@ -40,15 +43,15 @@ def test_record_on_tree():
 
 def test_record_extra_forcing_indices_for_star_free_bounds():
     g = complete(4)  # claw-free: r = 3
-    rec = compute_record(g, [2])
+    rec = compute_record(g)
     # K1R needs index k(r-1)=4, CLAWFREE needs 2k=4, K1R_ALPHA needs r-1=2
     for idx in (1, 2, 4):
-        assert idx in rec.forcing
+        assert rec.forcing[idx] == k_forcing_number(g, idx).value
 
 
 def test_record_disconnected():
     g = disjoint_union(complete(3), path(2))
-    rec = compute_record(g, [1])
+    rec = compute_record(g)
     assert not rec.connected and rec.component_count == 2
     assert rec.gamma_c is None
     assert rec.forcing[1] == 3
@@ -57,14 +60,14 @@ def test_record_disconnected():
 
 def test_record_scope_and_validation():
     with pytest.raises(ExactScopeError):
-        compute_record(path(13), [1])
+        compute_record(path(13))
     with pytest.raises(ValueError):
-        compute_record(path(3), [0])
-    rec = compute_record(path(13), [1], max_n=13)
+        compute_record(path(3)).forcing[0]
+    rec = compute_record(path(13), max_n=13)
     assert rec.forcing[1] == 1
 
 
 def test_record_cycle_tree_field():
     g = cycle_tree((3, 3, 4))
-    rec = compute_record(g, [1])
+    rec = compute_record(g)
     assert rec.cycle_tree_q == 3
