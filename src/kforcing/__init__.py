@@ -18,7 +18,6 @@ from .forcing import (
     NotKConnectedError,
     check_spread,
     closure,
-    closure_async,
     greedy_k_forcing_upper,
     is_k_forcing_set,
     k_forcing_number,
@@ -78,7 +77,6 @@ __all__ = [
     "bound_value",
     "check_spread",
     "closure",
-    "closure_async",
     "comparison_main2_vs_main",
     "components",
     "compute_record",

@@ -254,6 +254,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         ids = _parse_bounds(cfg.bounds)
         if cfg.sample is not None and cfg.sample < 0:
             raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
+        if cfg.jobs < 1:
+            raise ValueError(f"worker count must be positive, got {cfg.jobs}")
         graphs = _load_graphs(cfg)
         for index, (g6, g) in enumerate(graphs):
             if g.n == 0:
@@ -468,6 +470,15 @@ def cmd_search(cfg: CampaignConfig, target: str) -> int:
     return EXIT_OK
 
 
+def _search_from_args(args: argparse.Namespace) -> int:
+    try:
+        cfg = _campaign_from_args(args)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_PARSE
+    return cmd_search(cfg, args.target)
+
+
 # -- compute ----------------------------------------------------------------
 
 def _fmt_mask(mask: int) -> str:
@@ -609,10 +620,12 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 def _default_jobs() -> int:
     value = os.environ.get(JOBS_ENV, "")
-    try:
-        return max(1, int(value))
-    except ValueError:
+    if not value:
         return 1
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(f"{JOBS_ENV} must be an integer, got {value!r}") from None
 
 
 def _campaign_from_args(args: argparse.Namespace) -> CampaignConfig:
@@ -692,7 +705,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_io(ps)
     ps.add_argument("--spec", action="append")
     ps.add_argument("--out-jsonl", dest="out_jsonl", default=None)
-    ps.set_defaults(func=lambda a: cmd_search(_campaign_from_args(a), a.target))
+    ps.set_defaults(func=_search_from_args)
 
     pg = sub.add_parser("gen", help="generate family sweeps as graph6 lines")
     pg.add_argument("specs", nargs="+",

@@ -6,8 +6,9 @@ rule is the whole vertex set is a k-forcing set; the k-forcing number
 is the smallest size of one.
 
 Closures here run in synchronous rounds (every eligible forcer fires
-simultaneously); the fixpoint is scheduler-independent, which
-:func:`closure_async` exists to double-check.
+simultaneously); the fixpoint is scheduler-independent. :func:`closure`
+records every round; set tests and searches need only the fixpoint and
+run :func:`_fixpoint`, which keeps no trace.
 """
 
 from __future__ import annotations
@@ -83,27 +84,30 @@ def closure(g: Graph, initial: int, k: int) -> ForcingTrace:
     return ForcingTrace(initial=initial, k=k, rounds=tuple(rounds), final=colored)
 
 
-def closure_async(g: Graph, initial: int, k: int) -> int:
-    """Fixpoint colored set, firing one forcer at a time in index order.
-
-    Exists purely as an independent scheduler for confluence checks.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    colored = initial
+def _fixpoint(adj: tuple[int, ...], colored: int, k: int) -> int:
+    """The final colored set of :func:`closure`, with no trace and no checks."""
     while True:
-        for v in iter_bits(colored):
-            uncolored = g.adj[v] & ~colored
+        newly = 0
+        rest = colored
+        while rest:
+            low = rest & -rest
+            uncolored = adj[low.bit_length() - 1] & ~colored
             if uncolored and uncolored.bit_count() <= k:
-                colored |= uncolored
-                break
-        else:
+                newly |= uncolored
+            rest ^= low
+        if not newly:
             return colored
+        colored |= newly
 
 
 def is_k_forcing_set(g: Graph, s: int, k: int) -> bool:
     """True iff the closure of ``s`` colors every vertex."""
-    return closure(g, s, k).final == g.full_mask
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    full = g.full_mask
+    if s & ~full:
+        raise GraphError("initial set contains out-of-range vertices")
+    return _fixpoint(g.adj, s, k) == full
 
 
 def k_forcing_number(
@@ -111,19 +115,19 @@ def k_forcing_number(
 ) -> KForcingResult:
     """Exact k-forcing number with a minimum witness.
 
-    Candidate cardinalities increase from the lower bound
-    max(component count, min degree - k + 1, 1); within a cardinality,
+    Candidate cardinalities increase from the component count, since
+    every component needs a vertex of its own; within a cardinality,
     subsets are tried in colex order and the first success is the
-    witness. With ``collect_all_minimum`` the scan of the winning
-    cardinality is completed to gather every minimum k-forcing set.
+    witness. No other lower bound is assumed, so the bounds checked
+    against this value (the minimum-degree one among them) can fail.
+    With ``collect_all_minimum`` the scan of the winning cardinality is
+    completed to gather every minimum k-forcing set.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if g.n < 1:
         raise GraphError("k-forcing number undefined for the empty graph")
-    min_deg = min(g.degree(v) for v in range(g.n))
-    start = max(len(components(g)), min_deg - k + 1, 1)
-    for c in range(start, g.n + 1):
+    for c in range(len(components(g)), g.n + 1):
         found: list[int] = []
         for mask in subsets_of_size(g.n, c):
             if is_k_forcing_set(g, mask, k):
@@ -156,12 +160,12 @@ def greedy_k_forcing_upper(g: Graph, k: int) -> tuple[int, int]:
             bit = 1 << v
             if chosen & bit:
                 continue
-            gain = closure(g, chosen | bit, k).final.bit_count()
+            gain = _fixpoint(g.adj, chosen | bit, k).bit_count()
             if gain > best_gain:
                 best_gain = gain
                 best_v = v
         chosen |= 1 << best_v
-        covered = closure(g, chosen, k).final
+        covered = _fixpoint(g.adj, chosen, k)
     return chosen.bit_count(), chosen
 
 

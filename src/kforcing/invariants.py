@@ -282,6 +282,8 @@ def is_k1r_free(g: Graph, r: int) -> bool:
 
 def min_star_free_index(g: Graph) -> int:
     """Smallest r >= 3 such that the graph is K_{1,r}-free."""
+    if g.n < 1:
+        raise GraphError("star-free index undefined for the empty graph")
     r = 3
     while not is_k1r_free(g, r):
         r += 1

@@ -15,7 +15,6 @@ from kforcing import (
     BoundId,
     bound_value,
     closure,
-    closure_async,
     components,
     compute_record,
     connected_k_domination,
@@ -43,6 +42,7 @@ from kforcing.families import (
 from kforcing.smallgraphs import random_graph
 
 from conftest import DATA
+from forcing_oracle import closure_async
 
 
 def report(criterion: str, failures: list, detail: str) -> None:

@@ -110,6 +110,14 @@ def test_compute_exit_codes(tmp_path):
     assert proc.returncode == 2  # not a tree
 
 
+@pytest.mark.parametrize("invariant", ["star-free", "profile", "record"])
+def test_compute_empty_graph_exits_2(invariant):
+    proc = run_cli("compute", "--graph6", "?", "--invariant", invariant)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
 def test_verify_clean_run_and_violation_contract(tmp_path):
     out = tmp_path / "v.jsonl"
     csv_out = tmp_path / "v.csv"
@@ -161,11 +169,41 @@ def test_verify_scope_skip(tmp_path):
     ("Dhc\n", ["--bounds", "FOO"]),
     ("Dhc\n", ["--config", "/nonexistent/campaign.cfg"]),
     ("Dhc\n", ["--sample", "-1"]),
+    ("Dhc\n", ["--jobs", "0"]),
+    ("Dhc\n", ["--jobs", "-3"]),
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"
     src.write_text(g6_lines)
     proc = run_cli("verify", "--input", str(src), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("source", ["env", "config"])
+@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
+def test_verify_bad_worker_count_exits_2(source, jobs, tmp_path, monkeypatch):
+    src = tmp_path / "in.g6"
+    src.write_text("Dhc\n")
+    args = []
+    if source == "env":
+        monkeypatch.setenv("KFORCING_JOBS", jobs)
+    else:
+        cfg = tmp_path / "campaign.cfg"
+        cfg.write_text(f"jobs = {jobs}\n")
+        args = ["--config", str(cfg)]
+    proc = run_cli("verify", "--input", str(src), *args)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+
+
+def test_search_non_integer_jobs_env_exits_2(tmp_path, monkeypatch):
+    src = tmp_path / "in.g6"
+    src.write_text("Dhc\n")
+    monkeypatch.setenv("KFORCING_JOBS", "x")
+    proc = run_cli("search", "--target", "cor3", "--input", str(src))
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")

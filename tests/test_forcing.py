@@ -8,7 +8,6 @@ from kforcing import (
     NotKConnectedError,
     check_spread,
     closure,
-    closure_async,
     components,
     degree_profile,
     disjoint_union,
@@ -20,20 +19,10 @@ from kforcing import (
     vertices_from,
 )
 from kforcing.families import complete, complete_bipartite, cycle, path
+from kforcing.forcing import _fixpoint
 from kforcing.smallgraphs import random_graph
 
-
-def forcing_number_oracle(g: Graph, k: int) -> int:
-    """Brute force: scan every subset with the asynchronous closure.
-
-    Independent of the production path on both axes: enumeration order
-    (plain mask scan, not Gosper) and scheduling (one forcer at a time).
-    """
-    best = g.n
-    for mask in range(1 << g.n):
-        if mask.bit_count() < best and closure_async(g, mask, k) == g.full_mask:
-            best = mask.bit_count()
-    return best
+from forcing_oracle import closure_async, forcing_number_oracle
 
 
 PETERSEN = Graph.from_edges(
@@ -74,6 +63,19 @@ def test_closure_validates_inputs():
         closure(path(3), 0, 0)
     with pytest.raises(GraphError):
         closure(path(3), 1 << 5, 1)
+    with pytest.raises(GraphError):
+        is_k_forcing_set(path(3), 1 << 5, 1)
+    with pytest.raises(ValueError):
+        is_k_forcing_set(path(3), 1, 0)
+
+
+def test_fixpoint_matches_closure_and_async_oracle(connected_upto_6):
+    for g in connected_upto_6:
+        dmax = degree_profile(g)[0]
+        for k in range(1, max(dmax, 1) + 1):
+            for s in range(1 << g.n):
+                fixed = _fixpoint(g.adj, s, k)
+                assert fixed == closure(g, s, k).final == closure_async(g, s, k)
 
 
 def test_trace_respects_rule(connected_upto_6):
@@ -118,9 +120,9 @@ def test_k33_with_k2():
 
 
 def test_petersen_against_oracle():
-    assert forcing_number_oracle(PETERSEN, 1) == 5
     res = k_forcing_number(PETERSEN, 1)
     assert res.value == 5
+    assert (res.value, res.witness) == forcing_number_oracle(PETERSEN, 1)
     assert is_k_forcing_set(PETERSEN, res.witness, 1)
 
 
@@ -135,13 +137,12 @@ def test_max_degree_and_dichotomy(connected_upto_6):
             assert k_forcing_number(g, dmax - 1).value == (2 if regular else 1)
 
 
-def test_matches_oracle_on_small_corpus(connected_upto_6):
-    for g in connected_upto_6:
-        if g.n > 5:
-            continue
+def test_matches_oracle_on_small_corpus(connected_upto_7):
+    for g in connected_upto_7:
         dmax = degree_profile(g)[0]
-        for k in range(1, dmax + 1):
-            assert k_forcing_number(g, k).value == forcing_number_oracle(g, k)
+        for k in range(1, max(dmax, 1) + 1):
+            res = k_forcing_number(g, k)
+            assert (res.value, res.witness) == forcing_number_oracle(g, k)
 
 
 def test_witness_is_colex_first():
@@ -188,8 +189,8 @@ def test_lower_bound_min_degree(connected_upto_6):
     for g in connected_upto_6:
         if g.n < 2:
             continue
-        dmin = degree_profile(g)[1]
-        for k in (1, 2):
+        dmax, dmin = degree_profile(g)[:2]
+        for k in range(1, dmax + 1):
             assert k_forcing_number(g, k).value >= dmin - k + 1
 
 

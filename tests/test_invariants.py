@@ -390,6 +390,8 @@ def test_min_star_free_index():
     assert min_star_free_index(star(3)) == 4
     assert min_star_free_index(star(5)) == 6
     assert min_star_free_index(cycle(8)) == 3
+    with pytest.raises(GraphError):
+        min_star_free_index(Graph(0, ()))
 
 
 def test_k1r_neighbor_bound_on_max_k_independent_sets(connected_upto_6):
