@@ -31,7 +31,7 @@ from .forcing import (
     min_forcing_connected_complement,
 )
 from .graph import Graph, GraphError, degree_profile, vertices_from
-from .graphio import parse_edge_list, parse_graph6, write_graph6
+from .graphio import graph6_order, parse_edge_list, parse_graph6, write_graph6
 from .invariants import (
     ExactScopeError,
     connected_k_domination,
@@ -83,27 +83,27 @@ def _parse_config_file(path: str) -> dict[str, str]:
     return values
 
 
-def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, Graph]]:
-    """Return (graph6, Graph) pairs from the configured source."""
-    graphs: list[tuple[str, Graph]] = []
+def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
+    """Return (graph6, n) pairs from the configured source.
+
+    graph6 lines are syntax-checked but not parsed; callers parse the
+    graphs they use.
+    """
+    graphs: list[tuple[str, int]] = []
     if cfg.input:
         if cfg.format == "g6":
             with open(cfg.input, encoding="ascii") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if line:
-                        g = parse_graph6(line)
-                        graphs.append((write_graph6(g), g))
+                graphs = [graph6_order(line) for line in fh if line.strip()]
         elif cfg.format == "edges":
             with open(cfg.input, encoding="utf-8") as fh:
                 g = parse_edge_list(fh.read())
-            graphs.append((write_graph6(g), g))
+            graphs.append((write_graph6(g), g.n))
         else:
             raise ValueError(f"unknown format {cfg.format!r}")
     for spec in cfg.specs:
         for fs in expand_family_spec(spec):
             g = generate(fs)
-            graphs.append((write_graph6(g), g))
+            graphs.append((write_graph6(g), g.n))
     return graphs
 
 
@@ -257,8 +257,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if cfg.jobs < 1:
             raise ValueError(f"worker count must be positive, got {cfg.jobs}")
         graphs = _load_graphs(cfg)
-        for index, (g6, g) in enumerate(graphs):
-            if g.n == 0:
+        for index, (g6, n) in enumerate(graphs):
+            if n == 0:
                 raise GraphError(f"graph {index} has no vertices: graph6={g6}")
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -270,12 +270,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         keep = sorted(rng.sample(range(len(indexed)), cfg.sample))
         indexed = [indexed[i] for i in keep]
 
-    skipped = [(i, g6) for i, (g6, g) in indexed if g.n > cfg.max_n]
-    work = [
-        (i, g6, ks, ids, cfg.max_n)
-        for i, (g6, g) in indexed
-        if g.n <= cfg.max_n
-    ]
+    skipped = [(i, g6) for i, (g6, n) in indexed if n > cfg.max_n]
+    work = [(i, g6, ks, ids, cfg.max_n) for i, (g6, n) in indexed if n <= cfg.max_n]
 
     if cfg.jobs > 1 and len(work) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -400,36 +396,39 @@ def _equality_at_k1(entry: Bound, rec: InvariantRecord) -> Fraction | None:
 
 
 def search_equality(
-    graphs: list[tuple[str, Graph]], target: str, max_n: int = DEFAULT_MAX_N
+    graphs: list[tuple[str, int]], target: str, max_n: int = DEFAULT_MAX_N
 ) -> EqualitySearchResult:
-    """Find every connected graph achieving the target equality."""
+    """Find every connected graph achieving the target equality.
+
+    ``graphs`` holds (graph6, n) pairs; each graph in scope is parsed
+    from its graph6 string, so every reported string is the graph that
+    was checked.
+    """
     if target not in _SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
     entry = BOUNDS[_SEARCH_TARGETS[target]]
     achievers = []
     skipped = 0
-    for index, (g6, g) in enumerate(graphs):
-        if g.n > max_n:
+    for index, (g6, n) in enumerate(graphs):
+        if n > max_n:
             skipped += 1
             continue
-        if g.n < 2:
+        if n < 2:
             continue
+        g = parse_graph6(g6)
         rec = compute_record(g, max_n)
         value = _equality_at_k1(entry, rec)
         if value is None:
             continue
-        # re-verify the equality from the serialized form before reporting
-        g2 = parse_graph6(g6)
-        assert _equality_at_k1(entry, compute_record(g2, max_n)) == value
         achievers.append(
             {
                 "index": index,
                 "graph6": g6,
-                "n": g.n,
+                "n": n,
                 "max_degree": rec.max_degree,
                 "f1": rec.forcing[1],
                 "bound_value": str(value),
-                "classification": _classify_achiever(g2),
+                "classification": _classify_achiever(g),
             }
         )
 
@@ -446,8 +445,7 @@ def search_equality(
 
 def cmd_search(cfg: CampaignConfig, target: str) -> int:
     try:
-        graphs = _load_graphs(cfg)
-        result = search_equality(graphs, target, cfg.max_n)
+        result = search_equality(_load_graphs(cfg), target, cfg.max_n)
     except (OSError, GraphError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -494,7 +492,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
             graphs = _load_graphs(cfg)
             if not 0 <= args.index < len(graphs):
                 raise GraphError(f"graph index {args.index} out of range")
-            g = graphs[args.index][1]
+            g = parse_graph6(graphs[args.index][0])
         else:
             raise GraphError("compute needs --graph6 or --input")
     except (OSError, GraphError, ValueError) as exc:

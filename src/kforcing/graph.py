@@ -128,9 +128,6 @@ class Graph:
             for v in iter_bits(self.adj[u] >> (u + 1)):
                 yield (u, u + 1 + v)
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted((a.bit_count() for a in self.adj), reverse=True))
-
     # -- derived graphs -------------------------------------------------
 
     def induced_subgraph(self, mask: int) -> Graph:

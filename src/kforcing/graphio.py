@@ -23,61 +23,56 @@ class Graph6Error(GraphError):
     """Raised for malformed graph6 input."""
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a :class:`Graph`."""
+def graph6_order(text: str) -> tuple[str, int]:
+    """Check one graph6 line's syntax without building the graph.
+
+    Returns (canonical graph6, n): the line without its optional
+    ``>>graph6<<`` header and surrounding whitespace, which is already
+    canonical once every check has passed.
+    """
     s = text.strip()
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
     if not s:
         raise Graph6Error("empty graph6 string")
-    data = [ord(c) - 63 for c in s]
-    if any(x < 0 or x > 63 for x in data):
+    if min(s) < "?" or max(s) > "~":
         raise Graph6Error(f"character outside the printable range 63..126: {s!r}")
 
-    if data[0] < 63:
-        n = data[0]
-        body = data[1:]
+    if s[0] != "~":
+        n, head = ord(s[0]) - 63, 1
     else:
-        if len(data) < 4:
+        if len(s) < 4:
             raise Graph6Error(f"malformed length header: {s!r}")
-        if data[1] == 63:
+        if s[1] == "~":
             raise Graph6Error("the 8-byte length form (n > 258047) is not supported")
-        n = (data[1] << 12) | (data[2] << 6) | data[3]
+        n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         if n <= 62:
             raise Graph6Error(f"long-form header used for n={n} <= 62")
-        body = data[4:]
+        head = 4
 
     nbits = n * (n - 1) // 2
     ngroups = (nbits + 5) // 6
-    if len(body) != ngroups:
+    if len(s) - head != ngroups:
         raise Graph6Error(
-            f"expected {ngroups} adjacency bytes for n={n}, got {len(body)}"
+            f"expected {ngroups} adjacency bytes for n={n}, got {len(s) - head}"
         )
+    if ngroups and (ord(s[-1]) - 63) & ((1 << (6 * ngroups - nbits)) - 1):
+        raise Graph6Error("nonzero padding bits")
+    return s, n
 
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line into a :class:`Graph`."""
+    s, n = graph6_order(text)
+    # bits run over columns j = 1..n-1, rows i = 0..j-1
+    bits = iter("".join(f"{ord(c) - 63:06b}" for c in s[1 if n <= 62 else 4:]))
     adj = [0] * n
-    idx = 0
-    for group in body:
-        for shift in range(5, -1, -1):
-            bit = (group >> shift) & 1
-            if idx >= nbits:
-                if bit:
-                    raise Graph6Error("nonzero padding bits")
-                continue
-            if bit:
-                u, v = _edge_at(idx)
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            idx += 1
+    for j in range(1, n):
+        for i in range(j):
+            if next(bits) == "1":
+                adj[i] |= 1 << j
+                adj[j] |= 1 << i
     return Graph(n, tuple(adj))
-
-
-def _edge_at(idx: int) -> tuple[int, int]:
-    # Bits run over columns j = 1..n-1, rows i = 0..j-1; bit index
-    # idx = j(j-1)/2 + i.
-    j = 1
-    while (j + 1) * j // 2 <= idx:
-        j += 1
-    return idx - j * (j - 1) // 2, j
 
 
 def write_graph6(g: Graph) -> str:

@@ -30,15 +30,19 @@ def connected_k_domination(g: Graph, k: int) -> tuple[int, int] | None:
         raise GraphError("domination undefined for the empty graph")
     if not g.is_connected():
         return None
-    full = g.full_mask
+    adj, full = g.adj, g.full_mask
     for c in range(1, g.n + 1):
         for mask in subsets_of_size(g.n, c):
-            if not g.is_connected_within(mask):
-                continue
-            if all(
-                (g.adj[v] & mask).bit_count() >= k for v in iter_bits(full & ~mask)
-            ):
-                return c, mask
+            # domination first: it is cheaper and rejects most masks
+            rest = full & ~mask
+            while rest:
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] & mask).bit_count() < k:
+                    break
+                rest ^= low
+            else:
+                if g.is_connected_within(mask):
+                    return c, mask
     return None
 
 
@@ -52,9 +56,16 @@ def k_independence_number(g: Graph, k: int) -> tuple[int, int]:
         raise ValueError(f"k must be positive, got {k}")
     if g.n < 1:
         raise GraphError("independence undefined for the empty graph")
+    adj = g.adj
     for c in range(g.n, 0, -1):
         for mask in subsets_of_size(g.n, c):
-            if all((g.adj[v] & mask).bit_count() < k for v in iter_bits(mask)):
+            rest = mask
+            while rest:
+                low = rest & -rest
+                if (adj[low.bit_length() - 1] & mask).bit_count() >= k:
+                    break
+                rest ^= low
+            else:
                 return c, mask
     raise AssertionError("unreachable: a single vertex always qualifies")
 
@@ -217,19 +228,30 @@ def max_leaf_spanning_tree(g: Graph) -> int:
 
 # -- connectivity ---------------------------------------------------------
 
+def vertex_connectivity(g: Graph) -> int:
+    """The fewest vertices whose deletion disconnects the graph: n - 1
+    for K_n, 0 for a disconnected graph (or one with under 2 vertices).
+
+    Never above the minimum degree, since deleting a vertex's neighbors
+    isolates it, so the scan stops there.
+    """
+    if g.n < 2:
+        return 0
+    full = g.full_mask
+    min_degree = min(a.bit_count() for a in g.adj)
+    for c in range(min_degree):
+        for mask in subsets_of_size(g.n, c):
+            if not g.is_connected_within(full & ~mask):
+                return c
+    return min_degree
+
+
 def vertex_k_connected(g: Graph, k: int) -> bool:
     """True iff n > k and deleting any fewer than k vertices leaves the
     graph connected (the empty deletion included)."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if g.n <= k:
-        return False
-    full = g.full_mask
-    for c in range(k):
-        for mask in subsets_of_size(g.n, c):
-            if not g.is_connected_within(full & ~mask):
-                return False
-    return True
+    return g.n > k and vertex_connectivity(g) >= k
 
 
 # -- Hamiltonian cycles ----------------------------------------------------

@@ -9,7 +9,7 @@ or a caller reads it, and is kept for later reads.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable
 
 from .forcing import k_forcing_number
@@ -22,7 +22,7 @@ from .invariants import (
     k_independence_number,
     min_star_free_index,
     path_cover_number,
-    vertex_k_connected,
+    vertex_connectivity,
 )
 
 DEFAULT_MAX_N = 12
@@ -61,7 +61,10 @@ class InvariantRecord:
             lambda k: (res := connected_k_domination(g, k)) and res[0]
         )
         self.alpha = _OnDemand(lambda k: k_independence_number(g, k)[0])
-        self.k_connected = _OnDemand(lambda k: vertex_k_connected(g, k))
+        # one connectivity scan serves every k; a closure over ``g`` alone
+        # keeps the record out of a reference cycle
+        kappa = cache(lambda: vertex_connectivity(g))
+        self.k_connected = _OnDemand(lambda k: g.n > k and kappa() >= k)
 
     @property
     def gamma_c(self) -> int | None:

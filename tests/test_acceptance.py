@@ -285,7 +285,7 @@ def test_criterion_8_equality_search(connected_upto_7):
     from kforcing.cli import search_equality
 
     pipeline = search_equality(
-        [(write_graph6(g), g) for g in connected_upto_7], "cor3"
+        [(write_graph6(g), g.n) for g in connected_upto_7], "cor3"
     )
     found = {a["graph6"] for a in pipeline.achievers}
     want = {g6 for g6, _ in cor3_predicted} | {g6 for g6, _, _ in cor3_others}

@@ -171,6 +171,8 @@ def test_verify_scope_skip(tmp_path):
     ("Dhc\n", ["--sample", "-1"]),
     ("Dhc\n", ["--jobs", "0"]),
     ("Dhc\n", ["--jobs", "-3"]),
+    # random.Random(0).sample(range(2), 1) == [1]: the draw skips the bad line
+    ("D?\nDhc\n", ["--sample", "1", "--seed", "0"]),
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"

@@ -4,6 +4,7 @@ from kforcing import (
     Graph,
     Graph6Error,
     GraphError,
+    graph6_order,
     parse_edge_list,
     parse_graph6,
     write_edge_list,
@@ -84,22 +85,23 @@ def test_long_form_for_63_vertices():
     assert h.n == 63 and h.adj == g.adj
 
 
+MALFORMED_G6 = (
+    "",
+    "D\x1f?",  # character below 63
+    "D?",  # truncated body
+    "D???",  # extra body
+    "A?" + chr(127),  # character above 126
+    "~??B",  # long form used for small n
+    "~?",  # long-form header cut short
+    "~~??????",  # the unsupported 8-byte length form
+    "@?",  # '@' is n=1: no adjacency bits, so any body byte is an error
+)
+
+
 def test_parse_errors():
-    with pytest.raises(Graph6Error):
-        parse_graph6("")
-    with pytest.raises(Graph6Error):
-        parse_graph6("D\x1f?")  # character below 63
-    with pytest.raises(Graph6Error):
-        parse_graph6("D?")  # truncated body
-    with pytest.raises(Graph6Error):
-        parse_graph6("D???")  # extra body
-    with pytest.raises(Graph6Error):
-        parse_graph6("A?" + chr(127))  # character above 126
-    with pytest.raises(Graph6Error):
-        parse_graph6("~??B")  # long form used for small n
-    # '@' is n=1: no adjacency bits, so any body byte is an error
-    with pytest.raises(Graph6Error):
-        parse_graph6("@?")
+    for text in MALFORMED_G6:
+        with pytest.raises(Graph6Error):
+            parse_graph6(text)
 
 
 def test_trailing_padding_must_be_zero():
@@ -107,6 +109,29 @@ def test_trailing_padding_must_be_zero():
     bad = good[:-1] + chr(ord(good[-1]) + 1)  # flip lowest padding bit
     with pytest.raises(Graph6Error):
         parse_graph6(bad)
+
+
+def test_graph6_order_rejects_what_parse_rejects():
+    good = write_graph6(cycle(5))
+    bad_padding = good[:-1] + chr(ord(good[-1]) + 1)
+    for text in MALFORMED_G6 + (bad_padding,):
+        with pytest.raises(Graph6Error):
+            graph6_order(text)
+
+
+def test_graph6_order_is_parse_then_write_on_corpus():
+    lines = [
+        line
+        for path_ in sorted(DATA.glob("*.g6"))
+        for line in path_.read_text().splitlines()
+    ]
+    assert len(lines) == 12314
+    for line in lines:
+        n = parse_graph6(line).n
+        for text in (line, ">>graph6<<" + line + " \n"):
+            assert graph6_order(text) == (write_graph6(parse_graph6(text)), n)
+    s = write_graph6(path(63))
+    assert graph6_order(s) == (s, 63)
 
 
 def test_edge_list_round_trip():

@@ -12,12 +12,15 @@ from kforcing import (
     hamiltonian_cycle,
     is_cycle_tree,
     is_k1r_free,
+    iter_bits,
     k_forcing_number,
     k_independence_number,
     mask_from,
     max_leaf_spanning_tree,
     min_star_free_index,
     path_cover_number,
+    subsets_of_size,
+    vertex_connectivity,
     vertex_k_connected,
     vertices_from,
 )
@@ -67,6 +70,45 @@ def alpha_k_oracle(g: Graph, k: int) -> int:
             if all(len(set(g.neighbors(v)) & sub) < k for v in sub):
                 return c
     return best
+
+
+# -- brute twins of the bitmask solvers: plain subset scans, no pruning ----------
+
+def gamma_kc_scan(g: Graph, k: int) -> tuple[int, int] | None:
+    """Colex scan testing connectivity first, then domination with all()."""
+    if not g.is_connected():
+        return None
+    full = g.full_mask
+    for c in range(1, g.n + 1):
+        for mask in subsets_of_size(g.n, c):
+            if not g.is_connected_within(mask):
+                continue
+            if all(
+                (g.adj[v] & mask).bit_count() >= k for v in iter_bits(full & ~mask)
+            ):
+                return c, mask
+    return None
+
+
+def alpha_k_scan(g: Graph, k: int) -> tuple[int, int]:
+    """Downward colex scan testing every member's inside degree with all()."""
+    for c in range(g.n, 0, -1):
+        for mask in subsets_of_size(g.n, c):
+            if all((g.adj[v] & mask).bit_count() < k for v in iter_bits(mask)):
+                return c, mask
+    raise AssertionError("unreachable: a single vertex always qualifies")
+
+
+def k_connected_scan(g: Graph, k: int) -> bool:
+    """n > k, and no deletion of fewer than k vertices disconnects the graph."""
+    if g.n <= k:
+        return False
+    full = g.full_mask
+    return all(
+        g.is_connected_within(full & ~mask)
+        for c in range(k)
+        for mask in subsets_of_size(g.n, c)
+    )
 
 
 def max_leaf_oracle(g: Graph) -> int:
@@ -131,6 +173,13 @@ def test_gamma_kc_against_oracle_on_corpus(connected_upto_6):
             res = connected_k_domination(g, k)
             want = gamma_kc_oracle(g, k)
             assert (res[0] if res else None) == want
+
+
+def test_gamma_kc_and_alpha_match_scans(connected_upto_7):
+    for g in connected_upto_7:
+        for k in range(1, max(degree_profile(g)[0], 1) + 1):
+            assert connected_k_domination(g, k) == gamma_kc_scan(g, k)
+            assert k_independence_number(g, k) == alpha_k_scan(g, k)
 
 
 def test_gamma_witness_is_valid(connected_upto_6):
@@ -308,13 +357,32 @@ def test_connectivity_examples():
     assert not vertex_k_connected(star(3), 2)  # min degree 1 < 2
 
 
-def test_connectivity_against_networkx(connected_upto_6):
+def test_vertex_connectivity_examples():
+    assert vertex_connectivity(complete(1)) == 0
+    assert vertex_connectivity(complete(2)) == 1
+    assert vertex_connectivity(complete(5)) == 4
+    assert vertex_connectivity(cycle(5)) == 2
+    assert vertex_connectivity(star(3)) == 1
+    assert vertex_connectivity(complete_bipartite(3, 4)) == 3
+    assert vertex_connectivity(disjoint_union(complete(3), complete(3))) == 0
+    assert vertex_connectivity(Graph(0, ())) == 0
+
+
+def test_k_connected_matches_per_k_scan(connected_upto_7):
+    extra = [complete(1), complete(2), disjoint_union(cycle(4), complete(3))]
+    for g in connected_upto_7 + extra:
+        for k in range(1, g.n + 1):
+            assert vertex_k_connected(g, k) == k_connected_scan(g, k)
+
+
+def test_connectivity_against_networkx(connected_upto_7):
     nx = pytest.importorskip("networkx")
-    for g in connected_upto_6:
+    for g in connected_upto_7 + [disjoint_union(cycle(4), complete(3))]:
         gg = nx.Graph()
         gg.add_nodes_from(range(g.n))
         gg.add_edges_from(g.edges())
         conn = nx.node_connectivity(gg)
+        assert vertex_connectivity(g) == conn
         for k in range(1, g.n + 1):
             want = conn >= k and g.n > k
             assert vertex_k_connected(g, k) == want
