@@ -13,10 +13,12 @@ import os
 import random
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from contextlib import ExitStack
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from itertools import product
 
-from .bounds import ALL_BOUNDS, BOUNDS, Bound, BoundId, evaluate_bounds
+from .bounds import ALL_BOUNDS, BOUNDS, BoundId, evaluate_bounds
 from .families import (
     FamilySpec,
     complete_bipartite_parts,
@@ -31,7 +33,13 @@ from .forcing import (
     min_forcing_connected_complement,
 )
 from .graph import Graph, GraphError, degree_profile, vertices_from
-from .graphio import graph6_order, parse_edge_list, parse_graph6, write_graph6
+from .graphio import (
+    graph6_order,
+    parse_edge_list,
+    parse_graph6,
+    write_graph6,
+    write_graph6_file,
+)
 from .invariants import (
     ExactScopeError,
     connected_k_domination,
@@ -42,7 +50,7 @@ from .invariants import (
     min_star_free_index,
     path_cover_number,
 )
-from .records import DEFAULT_MAX_N, InvariantRecord, compute_record
+from .records import DEFAULT_MAX_N, compute_record
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -54,11 +62,15 @@ JOBS_ENV = "KFORCING_JOBS"
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Resolved settings for one verify run."""
+    """Resolved settings for one verify or search run.
+
+    The field names are both the config-file keys (with '-' for '_') and
+    the flag destinations, so each setting is declared only here.
+    """
 
     input: str | None = None
     format: str = "g6"
-    specs: tuple[str, ...] = ()
+    spec: tuple[str, ...] = ()
     k: str = "auto"
     bounds: str = "all"
     max_n: int = DEFAULT_MAX_N
@@ -69,8 +81,10 @@ class CampaignConfig:
     seed: int = 0
 
 
-def _parse_config_file(path: str) -> dict[str, str]:
-    values: dict[str, str] = {}
+def _parse_config_file(path: str) -> dict:
+    """Read ``key = value`` lines into CampaignConfig field values."""
+    types = {f.name: f.type for f in fields(CampaignConfig)}  # annotation strings
+    values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -78,9 +92,33 @@ def _parse_config_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, val = line.partition("=")
-            values[key.strip().replace("-", "_")] = val.strip()
+            name, _, val = (part.strip() for part in line.partition("="))
+            key = name.replace("-", "_")
+            if key not in types:
+                raise ValueError(f"{path}:{lineno}: unknown key {name!r}")
+            if types[key].startswith("tuple"):
+                values[key] = tuple(val.split())
+            else:
+                values[key] = int(val) if types[key].startswith("int") else val
     return values
+
+
+def _campaign(args: argparse.Namespace) -> CampaignConfig:
+    """Defaults, then $KFORCING_JOBS, then the config file, then the flags."""
+    try:
+        cfg = CampaignConfig(jobs=int(os.environ.get(JOBS_ENV) or 1))
+    except ValueError:
+        raise ValueError(
+            f"{JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
+        ) from None
+    if getattr(args, "config", None):
+        cfg = replace(cfg, **_parse_config_file(args.config))
+    flags = {f.name: getattr(args, f.name, None) for f in fields(CampaignConfig)}
+    cfg = replace(cfg, **{key: tuple(value) if isinstance(value, list) else value
+                          for key, value in flags.items() if value is not None})
+    if not (cfg.input or cfg.spec):
+        raise ValueError(f"{args.command} needs --input or --spec")
+    return cfg
 
 
 def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
@@ -100,7 +138,7 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
             graphs.append((write_graph6(g), g.n))
         else:
             raise ValueError(f"unknown format {cfg.format!r}")
-    for spec in cfg.specs:
+    for spec in cfg.spec:
         for fs in expand_family_spec(spec):
             g = generate(fs)
             graphs.append((write_graph6(g), g.n))
@@ -157,14 +195,8 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
                 )
             choices.append(expanded[0])
         else:
-            tuples = [()]
-            for options in expanded:
-                tuples = [t + (x,) for t in tuples for x in options]
-            choices.append(tuples)
-    specs = [()]
-    for options in choices:
-        specs = [s + (value,) for s in specs for value in options]
-    return [FamilySpec(family, args) for args in specs]
+            choices.append(list(product(*expanded)))
+    return [FamilySpec(family, args) for args in product(*choices)]
 
 
 # -- verify ------------------------------------------------------------------
@@ -210,28 +242,28 @@ def _verify_one(
     rec = compute_record(g, max_n=max_n)
     if ks is None:
         ks = _parse_ks("auto", rec.max_degree)
-    lines = []
-    equalities = []
-    for rep in evaluate_bounds(g, ks, ids, graph_id=index, rec=rec):
-        lines.append(
-            {
-                "index": index,
-                "graph6": g6,
-                "n": g.n,
-                "k": rep.k,
-                "bound": rep.bound.value,
-                "side": rep.side,
-                "applicable": rep.applicable,
-                "bound_value": _frac(rep.bound_value),
-                "exact": rep.exact_value,
-                "slack": _frac(rep.slack),
-                "equality": rep.equality,
-                "satisfied": rep.satisfied,
-                "detail": dict(rep.detail),
-            }
-        )
-        if rep.equality:
-            equalities.append(f"{rep.bound.value}@{rep.k}:{rep.side}")
+    reports = evaluate_bounds(g, ks, ids, graph_id=index, rec=rec)
+    lines = [
+        {
+            "index": index,
+            "graph6": g6,
+            "n": g.n,
+            "k": rep.k,
+            "bound": rep.bound.value,
+            "side": rep.side,
+            "applicable": rep.applicable,
+            "bound_value": _frac(rep.bound_value),
+            "exact": rep.exact_value,
+            "slack": _frac(rep.slack),
+            "equality": rep.equality,
+            "satisfied": rep.satisfied,
+            "detail": dict(rep.detail),
+        }
+        for rep in reports
+    ]
+    equalities = [
+        f"{rep.bound.value}@{rep.k}:{rep.side}" for rep in reports if rep.equality
+    ]
     row = {
         "index": index,
         "graph6": g6,
@@ -247,22 +279,23 @@ def _verify_one(
     return index, lines, row
 
 
+def _open_output(stack: ExitStack, path: str | None, **kwargs):
+    """``path`` opened for writing until ``stack`` closes, or None if unset."""
+    return path and stack.enter_context(open(path, "w", encoding="utf-8", **kwargs))
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        cfg = _campaign_from_args(args)
-        ks = None if cfg.k == "auto" else _parse_ks(cfg.k, 0)
-        ids = _parse_bounds(cfg.bounds)
-        if cfg.sample is not None and cfg.sample < 0:
-            raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
-        if cfg.jobs < 1:
-            raise ValueError(f"worker count must be positive, got {cfg.jobs}")
-        graphs = _load_graphs(cfg)
-        for index, (g6, n) in enumerate(graphs):
-            if n == 0:
-                raise GraphError(f"graph {index} has no vertices: graph6={g6}")
-    except (OSError, GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+    cfg = _campaign(args)
+    ks = None if cfg.k == "auto" else _parse_ks(cfg.k, 0)
+    ids = _parse_bounds(cfg.bounds)
+    if cfg.sample is not None and cfg.sample < 0:
+        raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
+    if cfg.jobs < 1:
+        raise ValueError(f"worker count must be positive, got {cfg.jobs}")
+    graphs = _load_graphs(cfg)
+    for index, (g6, n) in enumerate(graphs):
+        if n == 0:
+            raise GraphError(f"graph {index} has no vertices: graph6={g6}")
 
     indexed = list(enumerate(graphs))
     if cfg.sample is not None and cfg.sample < len(indexed):
@@ -273,54 +306,38 @@ def cmd_verify(args: argparse.Namespace) -> int:
     skipped = [(i, g6) for i, (g6, n) in indexed if n > cfg.max_n]
     work = [(i, g6, ks, ids, cfg.max_n) for i, (g6, n) in indexed if n <= cfg.max_n]
 
-    if cfg.jobs > 1 and len(work) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(_verify_one, work, chunksize=8))
-    else:
-        results = [_verify_one(t) for t in work]
-    results.sort(key=lambda r: r[0])
-
-    counts = {
-        "checked": 0,
-        "satisfied": 0,
-        "equality": 0,
-        "not_applicable": 0,
-        "violations": 0,
-        "skipped": len(skipped),
-    }
+    checked = equal = not_applicable = 0
     violations = []
-    jsonl_fh = open(cfg.out_jsonl, "w", encoding="utf-8") if cfg.out_jsonl else None
     csv_rows = []
-    try:
-        for index, lines, row in results:
+    with ExitStack() as stack:
+        jsonl = _open_output(stack, cfg.out_jsonl)
+        csv = _open_output(stack, cfg.out_csv, newline="")
+        results = map(_verify_one, work)
+        if cfg.jobs > 1 and len(work) > 1:
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
+            results = pool.map(_verify_one, work, chunksize=8)
+        # both maps yield in input order: write each graph's lines as it lands
+        for _, lines, row in results:
             csv_rows.append(row)
             for line in lines:
-                if not line["applicable"]:
-                    counts["not_applicable"] += 1
-                else:
-                    counts["checked"] += 1
-                    if line["satisfied"]:
-                        counts["satisfied"] += 1
-                    else:
-                        counts["violations"] += 1
+                if line["applicable"]:
+                    checked += 1
+                    equal += line["equality"]
+                    if not line["satisfied"]:
                         violations.append(line)
-                    if line["equality"]:
-                        counts["equality"] += 1
-                if jsonl_fh:
-                    jsonl_fh.write(json.dumps(line) + "\n")
-    finally:
-        if jsonl_fh:
-            jsonl_fh.close()
-
-    if cfg.out_csv:
-        _write_csv(cfg.out_csv, csv_rows)
+                else:
+                    not_applicable += 1
+                if jsonl:
+                    jsonl.write(json.dumps(line) + "\n")
+        if csv:
+            _write_csv(csv, csv_rows)
 
     for index, g6 in skipped:
         print(f"skipped (n over scope cap {cfg.max_n}): index={index} graph6={g6}")
     print(
-        "verify: checked={checked} satisfied={satisfied} equality={equality} "
-        "not_applicable={not_applicable} violations={violations} "
-        "skipped={skipped}".format(**counts)
+        f"verify: checked={checked} satisfied={checked - len(violations)} "
+        f"equality={equal} not_applicable={not_applicable} "
+        f"violations={len(violations)} skipped={len(skipped)}"
     )
     for line in violations:
         print(
@@ -331,25 +348,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(fh, rows: list[dict]) -> None:
     import csv as csv_mod
 
-    max_k = 0
+    max_k = max((k for row in rows for k in row["forcing"]), default=0)
+    columns = ["index", "graph6", "n", "m", "max_degree", "min_degree"]
+    columns += [f"f{k}" for k in range(1, max_k + 1)]
+    columns += ["gamma_c", "alpha_1", "equalities"]
+    # a missing f{k} (k over the graph's max degree) and None both print empty
+    writer = csv_mod.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
     for row in rows:
-        if row["forcing"]:
-            max_k = max(max_k, max(row["forcing"]))
-    fields = ["index", "graph6", "n", "m", "max_degree", "min_degree"]
-    fields += [f"f{k}" for k in range(1, max_k + 1)]
-    fields += ["gamma_c", "alpha_1", "equalities"]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv_mod.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            flat = {key: row[key] for key in fields if key in row}
-            for k in range(1, max_k + 1):
-                flat[f"f{k}"] = row["forcing"].get(k, "")
-            flat["gamma_c"] = "" if row["gamma_c"] is None else row["gamma_c"]
-            writer.writerow(flat)
+        writer.writerow(row | {f"f{k}": value for k, value in row["forcing"].items()})
 
 
 # -- search -----------------------------------------------------------------
@@ -383,22 +393,17 @@ def _classify_achiever(g: Graph) -> str:
     return "OTHER"
 
 
-_SEARCH_TARGETS = {"cor3": BoundId.COR3, "conn-dom": BoundId.CONN_DOM}
-
-
-def _equality_at_k1(entry: Bound, rec: InvariantRecord) -> Fraction | None:
-    """The bound value when the entry holds with equality at k = 1."""
-    if not entry.gate(rec, 1):
-        return None
-    check, = entry.checks
-    value = check.value(rec, 1)
-    return value if value == check.exact(rec, 1) else None
+# target: (bound, the classes its conjecture predicts; None for open data)
+_SEARCH_TARGETS = {
+    "cor3": (BoundId.COR3, ("complete", "balanced_bipartite")),
+    "conn-dom": (BoundId.CONN_DOM, None),
+}
 
 
 def search_equality(
     graphs: list[tuple[str, int]], target: str, max_n: int = DEFAULT_MAX_N
 ) -> EqualitySearchResult:
-    """Find every connected graph achieving the target equality.
+    """Find every connected graph achieving the target equality at k = 1.
 
     ``graphs`` holds (graph6, n) pairs; each graph in scope is parsed
     from its graph6 string, so every reported string is the graph that
@@ -406,7 +411,9 @@ def search_equality(
     """
     if target not in _SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
-    entry = BOUNDS[_SEARCH_TARGETS[target]]
+    bound_id, predicted = _SEARCH_TARGETS[target]
+    entry = BOUNDS[bound_id]
+    check, = entry.checks
     achievers = []
     skipped = 0
     for index, (g6, n) in enumerate(graphs):
@@ -417,8 +424,9 @@ def search_equality(
             continue
         g = parse_graph6(g6)
         rec = compute_record(g, max_n)
-        value = _equality_at_k1(entry, rec)
-        if value is None:
+        if not entry.gate(rec, 1):
+            continue
+        if (value := check.value(rec, 1)) != check.exact(rec, 1):
             continue
         achievers.append(
             {
@@ -432,34 +440,32 @@ def search_equality(
             }
         )
 
-    if target == "cor3":
-        others = [a for a in achievers if a["classification"] not in
-                  ("complete", "balanced_bipartite")]
-        status = "counterexample_found" if others else "consistent_on_searched_range"
-    else:
+    if predicted is None:
         status = "open_problem_data"
+    elif any(a["classification"] not in predicted for a in achievers):
+        status = "counterexample_found"
+    else:
+        status = "consistent_on_searched_range"
     return EqualitySearchResult(
         target=target, achievers=tuple(achievers), status=status, skipped=skipped
     )
 
 
-def cmd_search(cfg: CampaignConfig, target: str) -> int:
-    try:
-        result = search_equality(_load_graphs(cfg), target, cfg.max_n)
-    except (OSError, GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+def cmd_search(args: argparse.Namespace) -> int:
+    cfg = _campaign(args)
+    graphs = _load_graphs(cfg)
+    with ExitStack() as stack:
+        out = _open_output(stack, cfg.out_jsonl)
+        result = search_equality(graphs, args.target, cfg.max_n)
+        if out:
+            out.writelines(json.dumps(a) + "\n" for a in result.achievers)
 
-    if cfg.out_jsonl:
-        with open(cfg.out_jsonl, "w", encoding="utf-8") as fh:
-            for a in result.achievers:
-                fh.write(json.dumps(a) + "\n")
-
-    print(f"search target={target} achievers={len(result.achievers)} "
+    predicted = _SEARCH_TARGETS[args.target][1]
+    print(f"search target={args.target} achievers={len(result.achievers)} "
           f"status={result.status} skipped={result.skipped}")
     for a in result.achievers:
         marker = ""
-        if target == "cor3" and a["classification"] not in ("complete", "balanced_bipartite"):
+        if predicted is not None and a["classification"] not in predicted:
             marker = "  <-- NOT PREDICTED (possible counterexample)"
         print(
             f"  graph6={a['graph6']} n={a['n']} max_degree={a['max_degree']} "
@@ -468,125 +474,117 @@ def cmd_search(cfg: CampaignConfig, target: str) -> int:
     return EXIT_OK
 
 
-def _search_from_args(args: argparse.Namespace) -> int:
-    try:
-        cfg = _campaign_from_args(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    return cmd_search(cfg, args.target)
-
-
 # -- compute ----------------------------------------------------------------
 
 def _fmt_mask(mask: int) -> str:
     return "{" + ",".join(str(v) for v in vertices_from(mask)) + "}"
 
 
+def _value_witness(k: int, value, witness: int) -> dict:
+    return {"k": k, "value": value, "witness": _fmt_mask(witness)}
+
+
+def _forcing(g: Graph, args: argparse.Namespace) -> dict:
+    res = k_forcing_number(g, args.k, collect_all_minimum=args.all_min)
+    out = _value_witness(args.k, res.value, res.witness)
+    if args.all_min:
+        out["all_minimum"] = [_fmt_mask(m) for m in res.all_minimum]
+    return out
+
+
+def _connected_domination(g: Graph, k: int) -> dict:
+    res = connected_k_domination(g, k)
+    return {"k": k, "value": None} if res is None else _value_witness(k, *res)
+
+
+def _forcing_cc(g: Graph, args: argparse.Namespace) -> dict:
+    witness, value = min_forcing_connected_complement(g, args.k)
+    return _value_witness(args.k, value, witness)
+
+
+def _path_cover(g: Graph, args: argparse.Namespace) -> dict:
+    value, parts = path_cover_number(g)
+    return {"value": value, "parts": [_fmt_mask(p) for p in parts]}
+
+
+def _hamiltonian(g: Graph, args: argparse.Namespace) -> dict:
+    cyc = hamiltonian_cycle(g)
+    return {
+        "value": cyc is not None,
+        "cycle": list(cyc) if cyc else None,
+        "chords": g.m - g.n if cyc else None,
+    }
+
+
+def _profile(g: Graph, args: argparse.Namespace) -> dict:
+    dmax, dmin, leaves, hist = degree_profile(g)
+    return {
+        "max_degree": dmax,
+        "min_degree": dmin,
+        "leaf_count": leaves,
+        "histogram": {str(d): c for d, c in sorted(hist.items())},
+    }
+
+
+def _record(g: Graph, args: argparse.Namespace) -> dict:
+    rec = compute_record(g, max_n=args.max_n)
+    ks = _parse_ks(args.ks, rec.max_degree)
+    r = rec.star_free_index
+    # the indices the bounds read at these ks, whatever their gates
+    forcing_ks = {1, r - 1} | {i for k in ks for i in (k, k * (r - 1), 2 * k)}
+    ks = sorted({1, *ks})
+    return {
+        "max_degree": rec.max_degree,
+        "min_degree": rec.min_degree,
+        "leaf_count": rec.leaf_count,
+        "connected": rec.connected,
+        "forcing": {str(i): rec.forcing[i] for i in sorted(forcing_ks)},
+        "gamma_c": rec.gamma_c,
+        "gamma_kc": {str(i): rec.gamma_kc[i] for i in ks},
+        "alpha": {str(i): rec.alpha[i] for i in ks},
+        "hamiltonian": rec.hamiltonian,
+        "chord_count": rec.chord_count,
+        "cycle_tree_q": rec.cycle_tree_q,
+        "star_free_index": rec.star_free_index,
+        "path_cover": rec.path_cover,
+    }
+
+
+# --invariant name -> the fields it adds to the output. Every solver is
+# called through its module-level name, so a rebound name takes effect.
+_INVARIANTS = {
+    "forcing": _forcing,
+    "greedy-forcing": lambda g, a: _value_witness(a.k, *greedy_k_forcing_upper(g, a.k)),
+    "gamma-c": lambda g, a: _connected_domination(g, 1),
+    "gamma-kc": lambda g, a: _connected_domination(g, a.k),
+    "alpha": lambda g, a: _value_witness(a.k, *k_independence_number(g, a.k)),
+    "path-cover": _path_cover,
+    "max-leaf": lambda g, a: {"value": max_leaf_spanning_tree(g)},
+    "hamiltonian": _hamiltonian,
+    "cycle-tree": lambda g, a: dict(zip(("value", "cycles"), is_cycle_tree(g))),
+    "star-free": lambda g, a: {"value": min_star_free_index(g)},
+    "spread": lambda g, a: {"k": a.k, "value": check_spread(g, a.k)},
+    "forcing-cc": _forcing_cc,
+    "profile": _profile,
+    "record": _record,
+}
+
+
 def cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        if args.graph6:
-            g = parse_graph6(args.graph6)
-        elif args.input:
-            cfg = CampaignConfig(input=args.input, format=args.format)
-            graphs = _load_graphs(cfg)
-            if not 0 <= args.index < len(graphs):
-                raise GraphError(f"graph index {args.index} out of range")
-            g = parse_graph6(graphs[args.index][0])
-        else:
-            raise GraphError("compute needs --graph6 or --input")
-    except (OSError, GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    if args.graph6:
+        g = parse_graph6(args.graph6)
+    elif args.input:
+        graphs = _load_graphs(CampaignConfig(input=args.input, format=args.format))
+        if not 0 <= args.index < len(graphs):
+            raise GraphError(f"graph index {args.index} out of range")
+        g = parse_graph6(graphs[args.index][0])
+    else:
+        raise GraphError("compute needs --graph6 or --input")
     if g.n > args.max_n:
-        print(f"error: n={g.n} exceeds exact scope cap {args.max_n}", file=sys.stderr)
-        return EXIT_SCOPE
+        raise ExactScopeError(f"n={g.n} exceeds exact scope cap {args.max_n}")
 
-    k = args.k
-    out: dict = {"graph6": write_graph6(g), "n": g.n, "m": g.m}
-    try:
-        name = args.invariant
-        if name == "forcing":
-            res = k_forcing_number(g, k, collect_all_minimum=args.all_min)
-            out |= {"k": k, "value": res.value, "witness": _fmt_mask(res.witness)}
-            if args.all_min:
-                out["all_minimum"] = [_fmt_mask(m) for m in res.all_minimum]
-        elif name == "greedy-forcing":
-            value, witness = greedy_k_forcing_upper(g, k)
-            out |= {"k": k, "value": value, "witness": _fmt_mask(witness)}
-        elif name == "gamma-c" or name == "gamma-kc":
-            kk = 1 if name == "gamma-c" else k
-            res = connected_k_domination(g, kk)
-            if res is None:
-                out |= {"k": kk, "value": None}
-            else:
-                out |= {"k": kk, "value": res[0], "witness": _fmt_mask(res[1])}
-        elif name == "alpha":
-            value, witness = k_independence_number(g, k)
-            out |= {"k": k, "value": value, "witness": _fmt_mask(witness)}
-        elif name == "path-cover":
-            value, parts = path_cover_number(g)
-            out |= {"value": value, "parts": [_fmt_mask(p) for p in parts]}
-        elif name == "max-leaf":
-            out |= {"value": max_leaf_spanning_tree(g)}
-        elif name == "hamiltonian":
-            cyc = hamiltonian_cycle(g)
-            out |= {
-                "value": cyc is not None,
-                "cycle": list(cyc) if cyc else None,
-                "chords": g.m - g.n if cyc else None,
-            }
-        elif name == "cycle-tree":
-            flag, q = is_cycle_tree(g)
-            out |= {"value": flag, "cycles": q}
-        elif name == "star-free":
-            out |= {"value": min_star_free_index(g)}
-        elif name == "spread":
-            out |= {"k": k, "value": check_spread(g, k)}
-        elif name == "forcing-cc":
-            witness, value = min_forcing_connected_complement(g, k)
-            out |= {"k": k, "value": value, "witness": _fmt_mask(witness)}
-        elif name == "profile":
-            dmax, dmin, leaves, hist = degree_profile(g)
-            out |= {
-                "max_degree": dmax,
-                "min_degree": dmin,
-                "leaf_count": leaves,
-                "histogram": {str(d): c for d, c in sorted(hist.items())},
-            }
-        elif name == "record":
-            rec = compute_record(g, max_n=args.max_n)
-            ks = _parse_ks(args.ks, rec.max_degree)
-            r = rec.star_free_index
-            # the indices the bounds read at these ks, whatever their gates
-            forcing_ks = {1, r - 1} | {i for k in ks for i in (k, k * (r - 1), 2 * k)}
-            ks = sorted({1, *ks})
-            out |= {
-                "max_degree": rec.max_degree,
-                "min_degree": rec.min_degree,
-                "leaf_count": rec.leaf_count,
-                "connected": rec.connected,
-                "forcing": {str(i): rec.forcing[i] for i in sorted(forcing_ks)},
-                "gamma_c": rec.gamma_c,
-                "gamma_kc": {str(i): rec.gamma_kc[i] for i in ks},
-                "alpha": {str(i): rec.alpha[i] for i in ks},
-                "hamiltonian": rec.hamiltonian,
-                "chord_count": rec.chord_count,
-                "cycle_tree_q": rec.cycle_tree_q,
-                "star_free_index": rec.star_free_index,
-                "path_cover": rec.path_cover,
-            }
-        else:
-            print(f"error: unknown invariant {name!r}", file=sys.stderr)
-            return EXIT_PARSE
-    except ExactScopeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SCOPE
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
+    out = {"graph6": write_graph6(g), "n": g.n, "m": g.m}
+    out |= _INVARIANTS[args.invariant](g, args)
     if args.json:
         print(json.dumps(out))
     else:
@@ -598,60 +596,12 @@ def cmd_compute(args: argparse.Namespace) -> int:
 # -- gen ---------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        specs = [fs for text in args.specs for fs in expand_family_spec(text)]
-        graphs = [generate(fs) for fs in specs]
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="ascii")
-    try:
-        for g in graphs:
-            out.write(write_graph6(g) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    specs = [fs for text in args.specs for fs in expand_family_spec(text)]
+    write_graph6_file(args.out, [generate(fs) for fs in specs])
     return EXIT_OK
 
 
 # -- entry point ---------------------------------------------------------------
-
-def _default_jobs() -> int:
-    value = os.environ.get(JOBS_ENV, "")
-    if not value:
-        return 1
-    try:
-        return int(value)
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {value!r}") from None
-
-
-def _campaign_from_args(args: argparse.Namespace) -> CampaignConfig:
-    cfg = CampaignConfig(jobs=_default_jobs())
-    if getattr(args, "config", None):
-        raw = _parse_config_file(args.config)
-        fields = {
-            "input": str, "format": str, "k": str, "bounds": str,
-            "max_n": int, "jobs": int, "out_jsonl": str, "out_csv": str,
-            "sample": int, "seed": int,
-        }
-        updates = {}
-        for key, conv in fields.items():
-            if key in raw:
-                updates[key] = conv(raw[key])
-        if "spec" in raw:
-            updates["specs"] = tuple(raw["spec"].split())
-        cfg = replace(cfg, **updates)
-    overrides = {}
-    for key in ("input", "format", "k", "bounds", "max_n", "jobs",
-                "out_jsonl", "out_csv", "sample", "seed"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
-    if getattr(args, "spec", None):
-        overrides["specs"] = tuple(args.spec)
-    return replace(cfg, **overrides)
-
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
@@ -662,48 +612,43 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", "-i", help="graph6 or edge-list file")
-        p.add_argument("--format", choices=("g6", "edges"), default=None)
-        p.add_argument("--max-n", type=int, dest="max_n", default=None,
+        p.add_argument("--format", choices=("g6", "edges"))
+        p.add_argument("--max-n", type=int,
                        help=f"exact-scope cap (default {DEFAULT_MAX_N})")
+
+    def add_corpus(p: argparse.ArgumentParser) -> None:
+        add_io(p)
+        p.add_argument("--spec", action="append", help="family sweep (repeatable)")
+        p.add_argument("--out-jsonl")
 
     pc = sub.add_parser("compute", help="one invariant on one graph")
     pc.add_argument("--graph6", help="literal graph6 string")
-    pc.add_argument("--input", "-i")
-    pc.add_argument("--format", choices=("g6", "edges"), default="g6")
+    add_io(pc)
     pc.add_argument("--index", type=int, default=0, help="graph index within the input")
-    pc.add_argument("--invariant", required=True,
-                    choices=("forcing", "greedy-forcing", "gamma-c", "gamma-kc",
-                             "alpha", "path-cover", "max-leaf", "hamiltonian",
-                             "cycle-tree", "star-free", "spread", "forcing-cc",
-                             "profile", "record"))
+    pc.add_argument("--invariant", required=True, choices=tuple(_INVARIANTS))
     pc.add_argument("--k", type=int, default=1)
     pc.add_argument("--ks", default="auto", help="k list for 'record' (e.g. 1..3)")
-    pc.add_argument("--all-min", action="store_true", dest="all_min")
+    pc.add_argument("--all-min", action="store_true")
     pc.add_argument("--json", action="store_true")
-    pc.add_argument("--max-n", type=int, dest="max_n", default=DEFAULT_MAX_N)
-    pc.set_defaults(func=cmd_compute)
+    pc.set_defaults(func=cmd_compute, format="g6", max_n=DEFAULT_MAX_N)
 
     pv = sub.add_parser("verify", help="bound campaign over a corpus")
     pv.add_argument("--config", help="key = value file mirroring the flags")
-    add_io(pv)
-    pv.add_argument("--spec", action="append", help="family sweep (repeatable)")
-    pv.add_argument("--k", default=None, help="'auto' (1..max degree) or list/range")
-    pv.add_argument("--bounds", default=None, help="'all' or comma list of bound ids")
-    pv.add_argument("--jobs", type=int, default=None,
+    add_corpus(pv)
+    pv.add_argument("--k", help="'auto' (1..max degree) or list/range")
+    pv.add_argument("--bounds", help="'all' or comma list of bound ids")
+    pv.add_argument("--jobs", type=int,
                     help=f"worker processes (default ${JOBS_ENV} or 1)")
-    pv.add_argument("--out-jsonl", dest="out_jsonl", default=None)
-    pv.add_argument("--out-csv", dest="out_csv", default=None)
-    pv.add_argument("--sample", type=int, default=None,
+    pv.add_argument("--out-csv")
+    pv.add_argument("--sample", type=int,
                     help="verify a seeded random sample of this many graphs")
-    pv.add_argument("--seed", type=int, default=None)
+    pv.add_argument("--seed", type=int)
     pv.set_defaults(func=cmd_verify)
 
     ps = sub.add_parser("search", help="equality-case search over a corpus")
-    ps.add_argument("--target", required=True, choices=("cor3", "conn-dom"))
-    add_io(ps)
-    ps.add_argument("--spec", action="append")
-    ps.add_argument("--out-jsonl", dest="out_jsonl", default=None)
-    ps.set_defaults(func=_search_from_args)
+    ps.add_argument("--target", required=True, choices=tuple(_SEARCH_TARGETS))
+    add_corpus(ps)
+    ps.set_defaults(func=cmd_search)
 
     pg = sub.add_parser("gen", help="generate family sweeps as graph6 lines")
     pg.add_argument("specs", nargs="+",
@@ -716,7 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, GraphError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SCOPE if isinstance(exc, ExactScopeError) else EXIT_PARSE
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,7 +12,9 @@ declares an isolated (or just present) vertex, '#' starts a comment.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import sys
+from contextlib import nullcontext
+from typing import Iterable
 
 from .graph import Graph, GraphError
 
@@ -103,17 +105,22 @@ def write_graph6(g: Graph) -> str:
     return "".join(chr(x + 63) for x in head + groups)
 
 
-def read_graph6_lines(lines: Iterable[str]) -> Iterator[Graph]:
-    """Parse every nonempty line of a graph6 stream."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield parse_graph6(line)
-
-
 def read_graph6_file(path: str) -> list[Graph]:
+    """Parse every nonempty line of a graph6 file."""
     with open(path, encoding="ascii") as fh:
-        return list(read_graph6_lines(fh))
+        return [parse_graph6(line) for line in fh if line.strip()]
+
+
+def write_graph6_file(path: str, graphs: Iterable[Graph]) -> None:
+    """Write one graph6 line per graph to ``path``, or to stdout for '-'.
+
+    The file is opened before ``graphs`` is consumed, so an unwritable
+    path fails before a lazy source does any work.
+    """
+    with (nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="ascii")) as out:
+        for g in graphs:
+            out.write(write_graph6(g) + "\n")
 
 
 def parse_edge_list(text: str) -> Graph:

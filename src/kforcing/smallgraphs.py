@@ -171,7 +171,7 @@ def _main(argv: list[str] | None = None) -> int:
     import argparse
     import sys
 
-    from .graphio import write_graph6
+    from .graphio import write_graph6_file
 
     ap = argparse.ArgumentParser(
         description="enumerate small graphs up to isomorphism as graph6 lines"
@@ -182,19 +182,15 @@ def _main(argv: list[str] | None = None) -> int:
     ap.add_argument("-o", "--out", default="-")
     args = ap.parse_args(argv)
 
-    if args.trees:
-        graphs = all_trees(args.n)
-    elif args.connected:
-        graphs = connected_graphs(args.n)
-    else:
-        graphs = all_graphs(args.n)
-    out = sys.stdout if args.out == "-" else open(args.out, "w", encoding="ascii")
+    enumerate_graphs = all_trees if args.trees else (
+        connected_graphs if args.connected else all_graphs)
+    # lazy, so an unwritable output path fails before the enumeration runs
+    graphs = (g for n in [args.n] for g in enumerate_graphs(n))
     try:
-        for g in graphs:
-            out.write(write_graph6(g) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        write_graph6_file(args.out, graphs)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

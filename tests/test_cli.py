@@ -2,10 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 
 import pytest
 
-from kforcing.cli import expand_family_spec, main
+from kforcing.cli import CampaignConfig, expand_family_spec, main
 from kforcing.families import FamilySpec
 from kforcing.graphio import parse_graph6, write_graph6
 from kforcing.families import complete, complete_bipartite, cycle
@@ -66,6 +67,13 @@ def test_gen_counts(tmp_path):
 def test_gen_bad_spec():
     proc = run_cli("gen", "cycle:2")
     assert proc.returncode == 2
+
+
+def test_gen_unwritable_output_exits_2(tmp_path):
+    proc = run_cli("gen", "cycle:3..6", "-o", str(tmp_path))  # a directory
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_compute_forcing_on_cycle_edge_list(tmp_path, capsys):
@@ -173,6 +181,8 @@ def test_verify_scope_skip(tmp_path):
     ("Dhc\n", ["--jobs", "-3"]),
     # random.Random(0).sample(range(2), 1) == [1]: the draw skips the bad line
     ("D?\nDhc\n", ["--sample", "1", "--seed", "0"]),
+    ("Dhc\n", ["--out-jsonl", "/nonexistent/out.jsonl"]),
+    ("Dhc\n", ["--out-csv", "/nonexistent/out.csv"]),
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"
@@ -181,6 +191,46 @@ def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["--out-jsonl", "--out-csv"])
+def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeypatch,
+                                                         capsys):
+    import kforcing.cli as cli
+
+    monkeypatch.setattr(cli, "_verify_one", lambda task: pytest.fail("verified a graph"))
+    code = main(["verify", "--input", str(DATA / "connected_4.g6"), "--jobs", "1",
+                 flag, str(tmp_path)])  # a directory
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("config, message", [
+    (f"input = {DATA / 'connected_4.g6'}\njobz = 2\n", ":2: unknown key 'jobz'"),
+    (f"input = {DATA / 'connected_4.g6'}\nout-jsonz = x\n", ":2: unknown key 'out-jsonz'"),
+    ("k = 1\njobs = 1\n", "verify needs --input or --spec"),  # names no graphs
+])
+def test_verify_config_that_does_nothing_exits_2(config, message, tmp_path):
+    cfg = tmp_path / "campaign.cfg"
+    cfg.write_text(config)
+    proc = run_cli("verify", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ") and message in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify"],
+    ["verify", "--k", "1", "--jobs", "1"],
+    ["search", "--target", "cor3"],
+    ["search", "--target", "conn-dom", "--max-n", "6"],
+])
+def test_no_graph_source_exits_2(argv):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {argv[0]} needs --input or --spec\n"
 
 
 @pytest.mark.parametrize("source", ["env", "config"])
@@ -278,6 +328,13 @@ def test_verify_config_file_and_flag_override(tmp_path):
     assert {l["bound"] for l in lines} == {"MAIN"}
 
 
+def test_readme_config_keys_mirror_campaign_fields():
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    listing = readme.split("accepts `--config FILE`", 1)[1].split("(", 1)[1].split(")")[0]
+    keys = [part.strip().strip("`") for part in listing.split(",")]
+    assert keys == [f.name.replace("_", "-") for f in fields(CampaignConfig)]
+
+
 def test_verify_sample_is_seed_deterministic(tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
     base = ["verify", "--input", str(DATA / "connected_6.g6"),
@@ -321,6 +378,15 @@ def test_search_conn_dom_contains_known_families(tmp_path):
     classes = [a["classification"] for a in achievers]
     assert "complete" in classes and "cycle" in classes
     assert any(c == "bipartite_p_ge_q_ge_2" for c in classes)  # K_{3,2}
+
+
+def test_search_unwritable_output_exits_2(tmp_path):
+    proc = run_cli("search", "--target", "cor3", "--input",
+                   str(DATA / "connected_5.g6"), "--out-jsonl", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
 
 
 def test_search_empty_corpus(tmp_path):

@@ -3,14 +3,16 @@
 The digests were taken from the eager record and the if/elif bound chain
 that preceded the declarative bound table; any change in what ``verify``
 or ``compute --invariant record`` prints shows up here. Regenerate a
-digest only when a change of output is intended and documented.
+digest only when a change of output is intended and documented. The
+compute, search and gen digests were recorded before the CLI moved to
+table-driven dispatch and streamed ``verify`` output.
 """
 
 import hashlib
 
 import pytest
 
-from kforcing.cli import main
+from kforcing.cli import build_parser, main
 
 from conftest import DATA
 
@@ -60,3 +62,86 @@ def test_compute_record_output_digest(g6, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert sha256(out.encode()) == RECORD_DIGESTS[g6]
+
+
+def _invariant_choices() -> list[str]:
+    compute = build_parser()._subparsers._group_actions[0].choices["compute"]
+    action, = (a for a in compute._actions if a.dest == "invariant")
+    return list(action.choices)
+
+
+# exit code, stdout and stderr of every compute call on the RECORD_DIGESTS
+# graphs at --k 1 and at --k 2 --all-min, as text and as --json
+COMPUTE_DIGESTS = {
+    "alpha": "ea0ca45de5dd1890385de35b8b27557e8512ddf0ed37dd2bd9b83912dcafb9d8",
+    "cycle-tree": "f6b12e22e20a038ef4ea7e92463b25266167092b41a2e92b14f2a2c5baea6a70",
+    "forcing": "3fbc33f78e458b49644efa1d40acb5a7ea91d5652522103b525dc11eba466b13",
+    "forcing-cc": "f57d9dbf4e5b08afc0a488f5bc11c95af9b34c0421fede0b12b157bf4573ff4e",
+    "gamma-c": "d6d66ba9e3f1501ae2bec6d8e5f3d7f5c1bbc42965a07c2d6556f06ca79259ab",
+    "gamma-kc": "b30c5089118e213b9cd6b6b84f1959d096ffabb67e74d66180ce80519cbd5ae3",
+    "greedy-forcing": "6b92cbda96850a80b5d515ec04ba1c27b84bcccb1db8510e0ad6927ccb224f95",
+    "hamiltonian": "3f9f3b3810a5cc30118e724e0616b0172465053676f6934a4b2f5a2ca89341ee",
+    "max-leaf": "feda84b2046fed58dfef309f57d2237a4e0a6ef5932b653078a29039e9331615",
+    "path-cover": "2da098f772092cb368d4bfcee77363807188edc66975a77ae254b30dd2da14b0",
+    "profile": "7d3da3ae66c1615ffa636eb3f89228a024f4ce0ceb1adb104e250b91b48941a1",
+    "record": "5db28480f8eff6fcd2682eb026fc80c2e9bff063c619e643ead78b79ceda0e52",
+    "spread": "f5de29d1b59a792f4bc34b7f1508724fa1b4b621a987718286927901f2b331bc",
+    "star-free": "a80bbc9dbe9b10d31307f3f470fa55f7018bc76fec6d1a1c8c0232994fd78799",
+}
+
+
+def test_compute_digests_cover_every_invariant():
+    assert sorted(COMPUTE_DIGESTS) == sorted(_invariant_choices())
+
+
+@pytest.mark.parametrize("invariant", sorted(COMPUTE_DIGESTS))
+def test_compute_output_digest(invariant, capsys):
+    transcript = []
+    for g6 in sorted(RECORD_DIGESTS):
+        for extra in (["--k", "1"], ["--k", "2", "--all-min"]):
+            for fmt in ([], ["--json"]):
+                code = main(["compute", "--graph6", g6, "--invariant", invariant,
+                             *extra, *fmt])
+                out, err = capsys.readouterr()
+                transcript.append(f"{code}\n{out}{err}")
+    assert sha256("".join(transcript).encode()) == COMPUTE_DIGESTS[invariant]
+
+
+SEARCH_DIGESTS = {  # target: (stdout, JSONL) over connected_7
+    "conn-dom": (
+        "6851cc6a63f58a060d204f1cff6b6d5a7dd9a7f3b874fe79eeded320a6d569d0",
+        "8c6de0f466c5489e9ba3346b0234223e37cfbb8938c7642c66ac28ec1a792789",
+    ),
+    "cor3": (
+        "6f11bea5c19f23c95509989112610ec39b3c112f19222710c75de965805f3a17",
+        "17cd82050e57f759e4788217377bb1275337740334f1dc77a27adff7e56e0fde",
+    ),
+}
+
+
+@pytest.mark.parametrize("target", sorted(SEARCH_DIGESTS))
+def test_search_output_digest(target, tmp_path, capsys):
+    jsonl = tmp_path / "out.jsonl"
+    code = main(["search", "--target", target, "-i", str(DATA / "connected_7.g6"),
+                 "--out-jsonl", str(jsonl)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (sha256(out.encode()), sha256(jsonl.read_bytes())) == SEARCH_DIGESTS[target]
+
+
+GEN_DIGESTS = {  # space-separated specs: stdout
+    "cycle:3..6 cycle_tree:3,3 cycle_tree:3..4,3":
+        "12ebe30fd1f110293e5d31327fb12dea2f32c799b1abf03e36de96dd543a5157",
+    "circulant:8:1,2..3 complete_bipartite:2..4:2..3":
+        "f2afbf943efa1d6ed8053b330cfc6931e31a20bf58b3ecb8fa01e048261f20f1",
+    "path:1..5 star:2..4 subdivided_star:3:2 double_leaf_caterpillar:2..4 pendant_path:3..5 complete:1..5":
+        "ae052dfba764e32bd46bab517c495bb7f1abbc9ff702346a3a9cc192de6d18f4",
+}
+
+
+@pytest.mark.parametrize("specs", sorted(GEN_DIGESTS))
+def test_gen_output_digest(specs, capsys):
+    code = main(["gen", *specs.split()])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert sha256(out.encode()) == GEN_DIGESTS[specs]

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from kforcing.graph import Graph
 from kforcing.smallgraphs import (
     all_graphs,
@@ -81,3 +83,12 @@ def test_random_connected_graph():
     for _ in range(10):
         g = random_connected_graph(6, 0.3, rng)
         assert g.is_connected()
+
+
+def test_main_unwritable_output_exits_2(tmp_path, capsys, monkeypatch):
+    import kforcing.smallgraphs as smallgraphs
+
+    monkeypatch.setattr(smallgraphs, "connected_graphs",
+                        lambda n: pytest.fail("enumerated before opening the output"))
+    assert smallgraphs._main(["4", "--connected", "-o", str(tmp_path)]) == 2  # a directory
+    assert capsys.readouterr().err.startswith("error: ")
