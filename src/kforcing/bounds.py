@@ -13,9 +13,9 @@ surfaced through ``satisfied=False``, never dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
 from .records import InvariantRecord, compute_record
@@ -180,8 +180,7 @@ BOUNDS: dict[BoundId, Bound] = {
 }
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one bound check on one graph.
 
     ``side`` says whether the formula bounds the exact quantity from
@@ -198,7 +197,7 @@ class BoundReport:
     slack: Fraction | None = None
     equality: bool | None = None
     satisfied: bool | None = None
-    detail: tuple[tuple[str, int], ...] = field(default_factory=tuple)
+    detail: tuple[tuple[str, int], ...] = ()
 
 
 def bound_value(
@@ -237,10 +236,10 @@ def evaluate_bounds(
         raise ValueError(f"forcing indices must be positive: {tuple(ks)}")
     if rec is None:
         rec = compute_record(g)
+    entries = [(bound, BOUNDS[bound]) for bound in ids]
     reports = []
     for k in sorted(set(ks)):
-        for bound in ids:
-            entry = BOUNDS[bound]
+        for bound, entry in entries:
             if not entry.gate(rec, k):
                 reports.append(BoundReport(
                     graph_id=graph_id, k=k, bound=bound,

@@ -15,10 +15,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
-from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
-from .bounds import ALL_BOUNDS, BOUNDS, BoundId, evaluate_bounds
+from .bounds import ALL_BOUNDS, BOUNDS, BoundId, BoundReport, evaluate_bounds
 from .families import (
     FamilySpec,
     complete_bipartite_parts,
@@ -98,8 +98,15 @@ def _parse_config_file(path: str) -> dict:
                 raise ValueError(f"{path}:{lineno}: unknown key {name!r}")
             if types[key].startswith("tuple"):
                 values[key] = tuple(val.split())
+            elif not types[key].startswith("int"):
+                values[key] = val
             else:
-                values[key] = int(val) if types[key].startswith("int") else val
+                try:
+                    values[key] = int(val)
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{lineno}: {name} must be an integer, got {val!r}"
+                    ) from None
     return values
 
 
@@ -226,15 +233,40 @@ def _parse_bounds(text: str) -> tuple[BoundId, ...]:
     return tuple(ids)
 
 
-def _frac(x: Fraction | None) -> str | None:
-    return None if x is None else str(x)
+@lru_cache(maxsize=1024)
+def _not_applicable_tail(k: int, bound: BoundId, side: str) -> str:
+    """A not-applicable report's JSONL line after its graph's prefix."""
+    return json.dumps({
+        "k": k, "bound": bound.value, "side": side, "applicable": False,
+        "bound_value": None, "exact": None, "slack": None, "equality": None,
+        "satisfied": None, "detail": {},
+    })[1:] + "\n"
+
+
+def _applicable_tail(rep: BoundReport) -> str:
+    """An applicable report's JSONL line after its graph's prefix.
+
+    Formats the fields json.dumps would: the bound id, side and rationals
+    hold no character JSON escapes, and the detail values are ints.
+    """
+    detail = ", ".join(f'"{name}": {value}' for name, value in rep.detail)
+    return (
+        f'"k": {rep.k}, "bound": "{rep.bound.value}", "side": "{rep.side}", '
+        f'"applicable": true, "bound_value": "{rep.bound_value!s}", '
+        f'"exact": {rep.exact_value}, "slack": "{rep.slack!s}", '
+        f'"equality": {"true" if rep.equality else "false"}, '
+        f'"satisfied": {"true" if rep.satisfied else "false"}, '
+        f'"detail": {{{detail}}}}}\n'
+    )
 
 
 def _verify_one(
     task: tuple[int, str, list[int] | None, tuple[BoundId, ...], int]
-) -> tuple[int, list[dict], dict]:
+) -> tuple[int, str, tuple[int, int, int], list[str], dict]:
     """Worker: evaluate the configured bounds on one graph.
 
+    Returns the graph's finished JSONL block, its (checked, equal,
+    not_applicable) counts, its ``VIOLATION:`` lines and its CSV row.
     ``ks`` None means auto: 1 up to the graph's maximum degree.
     """
     index, g6, ks, ids, max_n = task
@@ -243,27 +275,25 @@ def _verify_one(
     if ks is None:
         ks = _parse_ks("auto", rec.max_degree)
     reports = evaluate_bounds(g, ks, ids, graph_id=index, rec=rec)
-    lines = [
-        {
-            "index": index,
-            "graph6": g6,
-            "n": g.n,
-            "k": rep.k,
-            "bound": rep.bound.value,
-            "side": rep.side,
-            "applicable": rep.applicable,
-            "bound_value": _frac(rep.bound_value),
-            "exact": rep.exact_value,
-            "slack": _frac(rep.slack),
-            "equality": rep.equality,
-            "satisfied": rep.satisfied,
-            "detail": dict(rep.detail),
-        }
-        for rep in reports
-    ]
-    equalities = [
-        f"{rep.bound.value}@{rep.k}:{rep.side}" for rep in reports if rep.equality
-    ]
+    prefix = json.dumps({"index": index, "graph6": g6, "n": g.n})[:-1] + ", "
+    lines = []
+    equalities = []
+    violations = []
+    not_applicable = 0
+    for rep in reports:
+        if not rep.applicable:
+            not_applicable += 1
+            lines.append(prefix + _not_applicable_tail(rep.k, rep.bound, rep.side))
+            continue
+        lines.append(prefix + _applicable_tail(rep))
+        if rep.equality:
+            equalities.append(f"{rep.bound.value}@{rep.k}:{rep.side}")
+        if not rep.satisfied:
+            violations.append(
+                f"VIOLATION: graph6={g6} k={rep.k} bound={rep.bound.value} "
+                f"side={rep.side} bound_value={rep.bound_value!s} exact={rep.exact_value}"
+            )
+    counts = (len(reports) - not_applicable, len(equalities), not_applicable)
     row = {
         "index": index,
         "graph6": g6,
@@ -276,7 +306,7 @@ def _verify_one(
         "alpha_1": rec.alpha[1],
         "equalities": ";".join(equalities),
     }
-    return index, lines, row
+    return index, "".join(lines), counts, violations, row
 
 
 def _open_output(stack: ExitStack, path: str | None, **kwargs):
@@ -307,7 +337,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     work = [(i, g6, ks, ids, cfg.max_n) for i, (g6, n) in indexed if n <= cfg.max_n]
 
     checked = equal = not_applicable = 0
-    violations = []
+    violations: list[str] = []
     csv_rows = []
     with ExitStack() as stack:
         jsonl = _open_output(stack, cfg.out_jsonl)
@@ -316,19 +346,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if cfg.jobs > 1 and len(work) > 1:
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
             results = pool.map(_verify_one, work, chunksize=8)
-        # both maps yield in input order: write each graph's lines as it lands
-        for _, lines, row in results:
+        # both maps yield in input order: write each graph's block as it lands
+        for _, text, (n_checked, n_equal, n_not_applicable), found, row in results:
+            checked += n_checked
+            equal += n_equal
+            not_applicable += n_not_applicable
+            violations += found
             csv_rows.append(row)
-            for line in lines:
-                if line["applicable"]:
-                    checked += 1
-                    equal += line["equality"]
-                    if not line["satisfied"]:
-                        violations.append(line)
-                else:
-                    not_applicable += 1
-                if jsonl:
-                    jsonl.write(json.dumps(line) + "\n")
+            if jsonl:
+                jsonl.write(text)
         if csv:
             _write_csv(csv, csv_rows)
 
@@ -340,11 +366,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         f"violations={len(violations)} skipped={len(skipped)}"
     )
     for line in violations:
-        print(
-            f"VIOLATION: graph6={line['graph6']} k={line['k']} "
-            f"bound={line['bound']} side={line['side']} "
-            f"bound_value={line['bound_value']} exact={line['exact']}"
-        )
+        print(line)
     return EXIT_VIOLATION if violations else EXIT_OK
 
 

@@ -31,20 +31,6 @@ class ForcingTrace:
     rounds: tuple[tuple[tuple[int, int], ...], ...]
     final: int
 
-    @property
-    def newly_forced(self) -> tuple[int, ...]:
-        """Mask of vertices first colored in each round."""
-        out = []
-        colored = self.initial
-        for rnd in self.rounds:
-            new = 0
-            for _, forced in rnd:
-                new |= forced
-            new &= ~colored
-            colored |= new
-            out.append(new)
-        return tuple(out)
-
 
 @dataclass(frozen=True)
 class KForcingResult:

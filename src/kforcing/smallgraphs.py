@@ -159,14 +159,6 @@ def random_graph(n: int, p: float, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
-def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """Rejection-sample a connected G(n, p) graph."""
-    while True:
-        g = random_graph(n, p, rng)
-        if g.is_connected():
-            return g
-
-
 def _main(argv: list[str] | None = None) -> int:
     import argparse
     import sys

@@ -210,6 +210,10 @@ def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeyp
     (f"input = {DATA / 'connected_4.g6'}\njobz = 2\n", ":2: unknown key 'jobz'"),
     (f"input = {DATA / 'connected_4.g6'}\nout-jsonz = x\n", ":2: unknown key 'out-jsonz'"),
     ("k = 1\njobs = 1\n", "verify needs --input or --spec"),  # names no graphs
+    (f"input = {DATA / 'connected_4.g6'}\njobs = x\n",
+     "campaign.cfg:2: jobs must be an integer, got 'x'"),
+    (f"input = {DATA / 'connected_4.g6'}\nsample = 1.5\n",
+     "campaign.cfg:2: sample must be an integer, got '1.5'"),
 ])
 def test_verify_config_that_does_nothing_exits_2(config, message, tmp_path):
     cfg = tmp_path / "campaign.cfg"
@@ -398,22 +402,21 @@ def test_search_empty_corpus(tmp_path):
 
 
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
-    # a violated bound cannot arise from correct code, so fake a worker
-    # result to pin the loud-failure contract: summary, stderr line, exit 1
+    # a violated bound cannot arise from correct code, so fake one report per
+    # graph to pin the loud-failure contract: summary, stdout line, exit 1
+    from fractions import Fraction
+
     import kforcing.cli as cli
 
-    real = cli._verify_one
+    real = cli.evaluate_bounds
 
-    def sabotage(task):
-        index, lines, row = real(task)
-        for line in lines:
-            if line["applicable"]:
-                line["satisfied"] = False
-                line["slack"] = "-1"
-                break
-        return index, lines, row
+    def sabotage(*args, **kwargs):
+        reports = real(*args, **kwargs)
+        i = next(i for i, rep in enumerate(reports) if rep.applicable)
+        reports[i] = reports[i]._replace(satisfied=False, slack=Fraction(-1))
+        return reports
 
-    monkeypatch.setattr(cli, "_verify_one", sabotage)
+    monkeypatch.setattr(cli, "evaluate_bounds", sabotage)
     out = tmp_path / "v.jsonl"
     code = main(["verify", "--input", str(DATA / "connected_3.g6"),
                  "--jobs", "1", "--out-jsonl", str(out)])
@@ -421,6 +424,13 @@ def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
     assert code == 1
     assert "violations=2" in printed
     assert "VIOLATION:" in printed
+    flipped = [json.loads(s) for s in out.read_text().splitlines()
+               if '"satisfied": false' in s]
+    assert len(flipped) == 2
+    for line in flipped:
+        assert line["applicable"] and line["slack"] == "-1"
+        assert (f"VIOLATION: graph6={line['graph6']} k={line['k']} "
+                f"bound={line['bound']} side={line['side']} ") in printed
 
 
 def test_jobs_env_var_default(tmp_path, monkeypatch):

@@ -25,6 +25,20 @@ from kforcing.smallgraphs import random_graph
 from forcing_oracle import closure_async, forcing_number_oracle
 
 
+def newly_forced(tr) -> tuple[int, ...]:
+    """Mask of vertices first colored in each round of a closure trace."""
+    out = []
+    colored = tr.initial
+    for rnd in tr.rounds:
+        new = 0
+        for _, forced in rnd:
+            new |= forced
+        new &= ~colored
+        colored |= new
+        out.append(new)
+    return tuple(out)
+
+
 PETERSEN = Graph.from_edges(
     10,
     [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0),
@@ -49,7 +63,7 @@ def test_closure_path_end_to_end():
     tr = closure(path(5), mask_from([0]), 1)
     assert tr.final == path(5).full_mask
     assert len(tr.rounds) == 4
-    assert tr.newly_forced == (2, 4, 8, 16)
+    assert newly_forced(tr) == (2, 4, 8, 16)
 
 
 def test_closure_complete_one_round():

@@ -5,7 +5,8 @@ that preceded the declarative bound table; any change in what ``verify``
 or ``compute --invariant record`` prints shows up here. Regenerate a
 digest only when a change of output is intended and documented. The
 compute, search and gen digests were recorded before the CLI moved to
-table-driven dispatch and streamed ``verify`` output.
+table-driven dispatch and streamed ``verify`` output, and the
+``connected_6`` digests before workers encoded their own JSONL.
 """
 
 import hashlib
@@ -46,6 +47,26 @@ def test_verify_output_digest(name, tmp_path, capsys):
     assert code == 0
     assert sha256(jsonl.read_bytes()) == jsonl_digest
     assert sha256(csv.read_bytes()) == csv_digest
+
+
+# JSONL, CSV and stdout of verify over connected_6 (9 of its graph6 strings
+# hold a backslash, which JSON escapes), the same at every worker count
+CONNECTED_6_DIGESTS = (
+    "51a788ffb8149b8662173901d0a1ce964dfbc23e3d3d49767f1fc48c861c8c09",
+    "de3cb0a4acdf083a558f6ffe5cbf8f21b9631a95a5eb95d36e854888c3626747",
+    "bc175b7a7ce7a3854d8e41f11e029545e189e88d7c99328effa110594022f69d",
+)
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_connected_6_digest(jobs, tmp_path, capsys):
+    jsonl, csv = tmp_path / "out.jsonl", tmp_path / "out.csv"
+    code = main(["verify", "-i", str(DATA / "connected_6.g6"), "--jobs", jobs,
+                 "--out-jsonl", str(jsonl), "--out-csv", str(csv)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (sha256(jsonl.read_bytes()), sha256(csv.read_bytes()),
+            sha256(out.encode())) == CONNECTED_6_DIGESTS
 
 
 RECORD_DIGESTS = {

@@ -9,7 +9,6 @@ from kforcing.smallgraphs import (
     canonical_graph,
     canonical_key,
     connected_graphs,
-    random_connected_graph,
     random_graph,
 )
 
@@ -18,6 +17,14 @@ from kforcing.smallgraphs import (
 ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23}
+
+
+def random_connected_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """Rejection-sample a connected G(n, p) graph."""
+    while True:
+        g = random_graph(n, p, rng)
+        if g.is_connected():
+            return g
 
 
 def test_graph_counts():
