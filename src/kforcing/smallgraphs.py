@@ -2,10 +2,23 @@
 
 Corpus generator for the verification campaigns: one representative
 per isomorphism class, built by vertex augmentation with canonical-form
-deduplication. The canonical form minimizes the upper-triangle
-adjacency bitstring over all permutations compatible with an
-iteratively refined degree partition, so it is exact (if slow for
-highly regular graphs, which are rare at this scale).
+deduplication. The canonical form is the least upper-triangle adjacency
+bitstring over every vertex order that keeps the cells of an iteratively
+refined degree colouring in ascending colour order, so it is exact.
+
+It is found row by row rather than by trying every order. Read from its
+most significant bit, with positions counted from the last slot, the
+bitstring is row 0, row 1, ..., where row r marks which later positions
+hold neighbours of the vertex at position r. Row r depends only on that
+vertex and on the ordered cells still to fill, and it is least exactly
+when every cell lists the vertex's non-neighbours before its neighbours.
+So each level tries every vertex of the first cell, keeps those with the
+least row (branching on ties) and splits every cell into non-neighbours,
+then neighbours. A vertex whose twin (same neighbours apart from each
+other) was already tried in the same cell is skipped: swapping the two
+is an automorphism that keeps every cell, so both give the same rows.
+No further refinement follows a choice, since minimality does not imply
+it and it would change the key.
 
 Run as a module to regenerate corpus files:
 
@@ -13,9 +26,6 @@ Run as a module to regenerate corpus files:
 """
 
 from __future__ import annotations
-
-import random
-from itertools import permutations
 
 from .graph import Graph, iter_bits
 
@@ -36,58 +46,49 @@ def _refined_coloring(g: Graph) -> list[int]:
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """(n, minimal adjacency bitstring) identifying the isomorphism class."""
-    n = g.n
+    """(n, minimal adjacency bitstring) identifying the isomorphism class.
+
+    The bitstring is the least over every vertex order that lists the
+    refined colour cells in ascending colour order, found row by row as
+    the module docstring explains.
+    """
+    n, adj = g.n, g.adj
     if n <= 1:
         return n, 0
-    colors = _refined_coloring(g)
     cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
-
-    # bit position of pair (i, j), i < j, in column-major upper-triangle order
-    bitpos = {}
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            bitpos[i, j] = pos
-            pos += 1
-
-    edges = list(g.edges())
-    best = None
-    for parts in _cell_permutations(ordered_cells):
-        place = [0] * n
-        slot = 0
-        for cell in parts:
-            for v in cell:
-                place[v] = slot
-                slot += 1
-        key = 0
-        for u, v in edges:
-            a, b = place[u], place[v]
-            if a > b:
-                a, b = b, a
-            key |= 1 << bitpos[a, b]
-        if best is None or key < best:
-            best = key
-    return n, best
-
-
-def _cell_permutations(cells: list[list[int]]):
-    def rec(i: int, acc: list[tuple[int, ...]]):
-        if i == len(cells):
-            yield acc
-            return
-        for perm in permutations(cells[i]):
-            yield from rec(i + 1, acc + [perm])
-
-    yield from rec(0, [])
+    for v, c in enumerate(_refined_coloring(g)):
+        cells[c] = cells.get(c, 0) | 1 << v
+    # Positions count from the last slot, so cells come in descending colour
+    # order. A state is the ordered cells of the vertices not yet placed; the
+    # rows to come depend on nothing else, so equal states are merged.
+    frontier = {tuple(cells[c] for c in sorted(cells, reverse=True))}
+    key = 0
+    for r in range(n - 1):
+        best, nxt = None, set()
+        for first, *rest in frontier:
+            tried = []
+            for v in iter_bits(first):
+                bit, nv = 1 << v, adj[v]
+                if any(adj[u] & ~bit == nv & ~(1 << u) for u in tried):
+                    continue  # a twin: swapping them fixes every cell
+                tried.append(v)
+                later = (first & ~bit, *rest)
+                row = 0
+                for cell in later:
+                    row = row << cell.bit_count() | (1 << (cell & nv).bit_count()) - 1
+                if best is not None and row > best:
+                    continue
+                if row != best:
+                    best, nxt = row, set()
+                nxt.add(tuple(part for cell in later
+                              for part in (cell & ~nv, cell & nv) if part))
+        key = key << (n - 1 - r) | best
+        frontier = nxt
+    return n, key
 
 
-def canonical_graph(g: Graph) -> Graph:
-    """The canonical representative of g's isomorphism class."""
-    n, key = canonical_key(g)
+def _graph_from_key(n: int, key: int) -> Graph:
+    """The graph whose upper-triangle bitstring is ``key``."""
     adj = [0] * n
     pos = 0
     for j in range(1, n):
@@ -97,6 +98,11 @@ def canonical_graph(g: Graph) -> Graph:
                 adj[j] |= 1 << i
             pos += 1
     return Graph(n, tuple(adj))
+
+
+def canonical_graph(g: Graph) -> Graph:
+    """The canonical representative of g's isomorphism class."""
+    return _graph_from_key(*canonical_key(g))
 
 
 def all_graphs(n: int) -> list[Graph]:
@@ -110,17 +116,12 @@ def all_graphs(n: int) -> list[Graph]:
     layer = [Graph(1, (0,))]
     for size in range(2, n + 1):
         seen = set()
-        nxt = []
         for h in layer:
             for nbrs in range(1 << (size - 1)):
                 adj = [a | ((nbrs >> v & 1) << (size - 1)) for v, a in enumerate(h.adj)]
                 adj.append(nbrs)
-                g = Graph(size, tuple(adj))
-                key = canonical_key(g)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(canonical_graph(g))
-        layer = sorted(nxt, key=canonical_key)
+                seen.add(canonical_key(Graph(size, tuple(adj))))
+        layer = [_graph_from_key(*key) for key in sorted(seen)]
     return layer
 
 
@@ -136,27 +137,14 @@ def all_trees(n: int) -> list[Graph]:
     layer = [Graph(1, (0,))]
     for size in range(2, n + 1):
         seen = set()
-        nxt = []
         for h in layer:
             for v in range(size - 1):
                 adj = list(h.adj)
                 adj[v] |= 1 << (size - 1)
                 adj.append(1 << v)
-                t = Graph(size, tuple(adj))
-                key = canonical_key(t)
-                if key not in seen:
-                    seen.add(key)
-                    nxt.append(canonical_graph(t))
-        layer = sorted(nxt, key=canonical_key)
+                seen.add(canonical_key(Graph(size, tuple(adj))))
+        layer = [_graph_from_key(*key) for key in sorted(seen)]
     return layer
-
-
-def random_graph(n: int, p: float, rng: random.Random) -> Graph:
-    """One labeled Erdos-Renyi graph G(n, p)."""
-    edges = [
-        (i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p
-    ]
-    return Graph.from_edges(n, edges)
 
 
 def _main(argv: list[str] | None = None) -> int:
@@ -169,10 +157,14 @@ def _main(argv: list[str] | None = None) -> int:
         description="enumerate small graphs up to isomorphism as graph6 lines"
     )
     ap.add_argument("n", type=int)
-    ap.add_argument("--connected", action="store_true")
-    ap.add_argument("--trees", action="store_true")
+    family = ap.add_mutually_exclusive_group()
+    family.add_argument("--connected", action="store_true")
+    family.add_argument("--trees", action="store_true")
     ap.add_argument("-o", "--out", default="-")
     args = ap.parse_args(argv)
+    if args.n < 1:
+        print(f"error: n must be positive, got {args.n}", file=sys.stderr)
+        return 2
 
     enumerate_graphs = all_trees if args.trees else (
         connected_graphs if args.connected else all_graphs)

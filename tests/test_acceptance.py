@@ -39,10 +39,10 @@ from kforcing.families import (
     path,
     subdivided_star,
 )
-from kforcing.smallgraphs import random_graph
 
 from conftest import DATA
 from forcing_oracle import closure_async
+from random_graphs import random_graph
 
 
 def report(criterion: str, failures: list, detail: str) -> None:

@@ -20,9 +20,9 @@ from kforcing import (
 )
 from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
-from kforcing.smallgraphs import random_graph
 
 from forcing_oracle import closure_async, forcing_number_oracle
+from random_graphs import random_graph
 
 
 def newly_forced(tr) -> tuple[int, ...]:
