@@ -3,8 +3,8 @@
 :data:`BOUNDS` is the single statement of the bounds: each entry holds a
 gate and one check per direction, all functions of an invariant record
 and the index k. A record computes only the invariants those functions
-read. Bound values are exact rationals and are never floored; equality
-detection compares Fractions. A graph failing a gate yields a
+read. Bound values are memoized exact rationals, never floored, checked
+in integer arithmetic. A graph failing a gate yields a
 not-applicable report, never a vacuous pass. A violated bound in a
 report signals an implementation bug (all bounds are proven) and is
 surfaced through ``satisfied=False``, never dropped.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -67,6 +68,12 @@ class Bound:
     checks: tuple[Check, ...]
 
 
+@lru_cache(maxsize=4096)
+def _q(p: int, q: int = 1) -> Fraction:
+    """p/q; a Fraction is immutable, so one instance serves every report."""
+    return Fraction(p, q)
+
+
 def _f_k(rec: InvariantRecord, k: int) -> int:
     return rec.forcing[k]
 
@@ -75,8 +82,9 @@ def _f_1(rec: InvariantRecord, k: int) -> int:
     return rec.forcing[1]
 
 
-def _cor3(rec: InvariantRecord, k: int) -> Fraction:
-    return Fraction((rec.max_degree - 2) * rec.n + 2, rec.max_degree - 1)
+def _cor3(rec: InvariantRecord, k: int, less: int = 0) -> Fraction:
+    d = rec.max_degree
+    return _q((d - 2) * rec.n + 2 - less * (d - 1), d - 1)
 
 
 def _connected_d2(rec: InvariantRecord, k: int) -> bool:
@@ -90,35 +98,35 @@ def _k1r_index(rec: InvariantRecord, k: int) -> int:
 BOUNDS: dict[BoundId, Bound] = {
     BoundId.LOWER_DEG: Bound(
         lambda rec, k: True,
-        (Check("lower", lambda rec, k: Fraction(rec.min_degree - k + 1), _f_k),),
+        (Check("lower", lambda rec, k: _q(rec.min_degree - k + 1), _f_k),),
     ),
     BoundId.MAIN: Bound(
         lambda rec, k: rec.n >= 2 and rec.max_degree >= k and rec.min_degree >= 1,
-        (Check("upper", lambda rec, k: Fraction(
+        (Check("upper", lambda rec, k: _q(
             (rec.max_degree - k + 1) * rec.n,
             rec.max_degree - k + 1 + min(rec.min_degree, k)), _f_k),),
     ),
     BoundId.KCOR: Bound(
         lambda rec, k: rec.n >= 2 and rec.min_degree >= k,
-        (Check("upper", lambda rec, k: Fraction(
+        (Check("upper", lambda rec, k: _q(
             (rec.max_degree - k + 1) * rec.n, rec.max_degree + 1), _f_k),),
     ),
     BoundId.RATIO: Bound(
         lambda rec, k: k == 1 and rec.min_degree >= 1,
-        (Check("upper", lambda rec, k: Fraction(
+        (Check("upper", lambda rec, k: _q(
             rec.max_degree * rec.n, rec.max_degree + 1), _f_1),),
     ),
     BoundId.CONN_KDOM: Bound(
         lambda rec, k: rec.k_connected[k],
-        (Check("upper", lambda rec, k: Fraction(rec.n - rec.gamma_kc[k]), _f_k),),
+        (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_kc[k]), _f_k),),
     ),
     BoundId.CONN_DOM: Bound(
         lambda rec, k: k == 1 and rec.connected and rec.n >= 2,
-        (Check("upper", lambda rec, k: Fraction(rec.n - rec.gamma_c), _f_1),),
+        (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_c), _f_1),),
     ),
     BoundId.MAIN2: Bound(
         lambda rec, k: rec.k_connected[k] and rec.max_degree >= 2,
-        (Check("upper", lambda rec, k: Fraction(
+        (Check("upper", lambda rec, k: _q(
             (rec.max_degree - 2) * rec.n + 2, rec.max_degree + k - 2), _f_k),),
     ),
     BoundId.COR3: Bound(_connected_d2, (Check("upper", _cor3, _f_1),)),
@@ -128,52 +136,52 @@ BOUNDS: dict[BoundId, Bound] = {
     ),
     BoundId.GAMMA_LOWER: Bound(
         _connected_d2,
-        (Check("lower", lambda rec, k: Fraction(rec.n - 2, rec.max_degree - 1),
+        (Check("lower", lambda rec, k: _q(rec.n - 2, rec.max_degree - 1),
                lambda rec, k: rec.gamma_c),),
     ),
     BoundId.HAM_CHORDS: Bound(
         lambda rec, k: k == 1 and rec.n >= 4 and rec.hamiltonian
         and rec.chord_count >= 1,
-        (Check("upper", lambda rec, k: Fraction(rec.chord_count + 1), _f_1,
+        (Check("upper", lambda rec, k: _q(rec.chord_count + 1), _f_1,
                lambda rec, k: (("chords", rec.chord_count),)),),
     ),
     BoundId.HAM_CUBIC: Bound(
         lambda rec, k: k == 1 and rec.max_degree == 3 and rec.degree3_count >= 2
         and rec.hamiltonian,
-        (Check("upper", lambda rec, k: Fraction(rec.degree3_count, 2) + 1, _f_1,
+        (Check("upper", lambda rec, k: _q(rec.degree3_count + 2, 2), _f_1,
                lambda rec, k: (("degree3", rec.degree3_count),)),),
     ),
     BoundId.CYCLE_TREE: Bound(
         lambda rec, k: k == 1 and rec.cycle_tree_q is not None,
-        (Check("upper", lambda rec, k: Fraction(2 * rec.cycle_tree_q), _f_1,
+        (Check("upper", lambda rec, k: _q(2 * rec.cycle_tree_q), _f_1,
                lambda rec, k: (("cycles", rec.cycle_tree_q),)),),
     ),
     BoundId.TREE_LEAF: Bound(
         lambda rec, k: k == 1 and rec.tree and rec.n >= 2,
-        (Check("lower", lambda rec, k: Fraction((rec.leaf_count + 1) // 2), _f_1),
-         Check("upper", lambda rec, k: Fraction(rec.leaf_count - 1), _f_1)),
+        (Check("lower", lambda rec, k: _q((rec.leaf_count + 1) // 2), _f_1),
+         Check("upper", lambda rec, k: _q(rec.leaf_count - 1), _f_1)),
     ),
     BoundId.TREE_COR: Bound(
         lambda rec, k: k == 1 and rec.tree and rec.max_degree >= 2,
-        (Check("upper", lambda rec, k: _cor3(rec, k) - 1, _f_1),),
+        (Check("upper", lambda rec, k: _cor3(rec, k, less=1), _f_1),),
     ),
     BoundId.K1R: Bound(
         lambda rec, k: rec.min_degree >= 1,
-        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[k]),
+        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[_k1r_index(rec, k)],
                lambda rec, k: (("r", rec.star_free_index),
                                ("index", _k1r_index(rec, k)))),),
     ),
     BoundId.K1R_ALPHA: Bound(
         lambda rec, k: k == 1 and rec.min_degree >= 1,
-        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[1]),
+        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[1]),
                lambda rec, k: rec.forcing[_k1r_index(rec, 1)],
                lambda rec, k: (("r", rec.star_free_index),
                                ("index", _k1r_index(rec, 1)))),),
     ),
     BoundId.CLAWFREE: Bound(
         lambda rec, k: rec.min_degree >= 1 and rec.star_free_index == 3,
-        (Check("upper", lambda rec, k: Fraction(rec.n - rec.alpha[k]),
+        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[2 * k],
                lambda rec, k: (("index", 2 * k),)),),
     ),
@@ -242,25 +250,15 @@ def evaluate_bounds(
         for bound, entry in entries:
             if not entry.gate(rec, k):
                 reports.append(BoundReport(
-                    graph_id=graph_id, k=k, bound=bound,
-                    side=entry.checks[-1].side, applicable=False,
-                ))
+                    graph_id, k, bound, entry.checks[-1].side, False))
                 continue
             for check in entry.checks:
                 value, exact = check.value(rec, k), check.exact(rec, k)
-                slack = value - exact if check.side == "upper" else exact - value
+                p, q = value.numerator, value.denominator
+                d = p - exact * q if check.side == "upper" else exact * q - p
                 reports.append(BoundReport(
-                    graph_id=graph_id,
-                    k=k,
-                    bound=bound,
-                    side=check.side,
-                    applicable=True,
-                    bound_value=value,
-                    exact_value=exact,
-                    slack=slack,
-                    equality=slack == 0,
-                    satisfied=slack >= 0,
-                    detail=check.detail(rec, k),
+                    graph_id, k, bound, check.side, True, value, exact,
+                    _q(d, q), d == 0, d >= 0, check.detail(rec, k),
                 ))
     return reports
 

@@ -276,16 +276,16 @@ def _verify_one(
         ks = _parse_ks("auto", rec.max_degree)
     reports = evaluate_bounds(g, ks, ids, graph_id=index, rec=rec)
     prefix = json.dumps({"index": index, "graph6": g6, "n": g.n})[:-1] + ", "
-    lines = []
+    tails = []
     equalities = []
     violations = []
     not_applicable = 0
     for rep in reports:
         if not rep.applicable:
             not_applicable += 1
-            lines.append(prefix + _not_applicable_tail(rep.k, rep.bound, rep.side))
+            tails.append(_not_applicable_tail(rep.k, rep.bound, rep.side))
             continue
-        lines.append(prefix + _applicable_tail(rep))
+        tails.append(_applicable_tail(rep))
         if rep.equality:
             equalities.append(f"{rep.bound.value}@{rep.k}:{rep.side}")
         if not rep.satisfied:
@@ -306,7 +306,7 @@ def _verify_one(
         "alpha_1": rec.alpha[1],
         "equalities": ";".join(equalities),
     }
-    return index, "".join(lines), counts, violations, row
+    return index, prefix + prefix.join(tails), counts, violations, row
 
 
 def _open_output(stack: ExitStack, path: str | None, **kwargs):
@@ -448,7 +448,8 @@ def search_equality(
         rec = compute_record(g, max_n)
         if not entry.gate(rec, 1):
             continue
-        if (value := check.value(rec, 1)) != check.exact(rec, 1):
+        value = check.value(rec, 1)  # a non-integral bound needs no exact value
+        if value.denominator != 1 or value != check.exact(rec, 1):
             continue
         achievers.append(
             {

@@ -91,6 +91,13 @@ class Graph:
                 if not self.adj[u] & (1 << v):
                     raise GraphError(f"asymmetric edge ({v}, {u})")
 
+    @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """A graph from adjacency valid by construction, left unchecked."""
+        g = object.__new__(cls)
+        g.__dict__.update(n=n, adj=adj)
+        return g
+
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         """Build a graph on ``n`` vertices from an edge iterable."""

@@ -74,7 +74,7 @@ def parse_graph6(text: str) -> Graph:
             if next(bits) == "1":
                 adj[i] |= 1 << j
                 adj[j] |= 1 << i
-    return Graph(n, tuple(adj))
+    return Graph._unchecked(n, tuple(adj))
 
 
 def write_graph6(g: Graph) -> str:

@@ -9,6 +9,7 @@ approximating.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import Iterable
 
 from .graph import Graph, GraphError, iter_bits, subsets_of_size, vertices_from
 
@@ -46,28 +47,42 @@ def connected_k_domination(g: Graph, k: int) -> tuple[int, int] | None:
     return None
 
 
-def k_independence_number(g: Graph, k: int) -> tuple[int, int]:
-    """Largest set inducing a subgraph of maximum degree below k.
+def k_independence_numbers(g: Graph, ks: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """Largest set inducing a subgraph of maximum degree below k, as
+    (size, colex-first witness mask), for every k in ``ks`` at once.
 
-    Returns (size, witness mask); the witness is the colex-first set of
-    maximum size.
+    One downward scan: the first subset of induced maximum degree d
+    answers every open k above d; counting stops at the largest open k.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    open_ks = sorted(set(ks)) or [0]
+    if open_ks[0] < 1:
+        raise ValueError(f"k must be positive, got {open_ks[0]}")
     if g.n < 1:
         raise GraphError("independence undefined for the empty graph")
-    adj = g.adj
+    adj, found = g.adj, {}
     for c in range(g.n, 0, -1):
         for mask in subsets_of_size(g.n, c):
+            worst = 0
             rest = mask
             while rest:
                 low = rest & -rest
-                if (adj[low.bit_length() - 1] & mask).bit_count() >= k:
-                    break
+                d = (adj[low.bit_length() - 1] & mask).bit_count()
+                if d > worst:
+                    if d >= open_ks[-1]:
+                        break
+                    worst = d
                 rest ^= low
             else:
-                return c, mask
+                while open_ks and open_ks[-1] > worst:
+                    found[open_ks.pop()] = c, mask
+                if not open_ks:
+                    return found
     raise AssertionError("unreachable: a single vertex always qualifies")
+
+
+def k_independence_number(g: Graph, k: int) -> tuple[int, int]:
+    """:func:`k_independence_numbers` at the one index k."""
+    return k_independence_numbers(g, (k,))[k]
 
 
 # -- path cover of trees ------------------------------------------------
@@ -302,14 +317,21 @@ def is_k1r_free(g: Graph, r: int) -> bool:
     return True
 
 
+def _independence(adj: tuple[int, ...], mask: int) -> int:
+    """Independence number of the subgraph that ``mask`` induces."""
+    if not mask:
+        return 0
+    v = (mask & -mask).bit_length() - 1
+    rest = mask & ~(1 << v)
+    taken = 1 + _independence(adj, rest & ~adj[v])
+    return taken if not adj[v] & rest else max(taken, _independence(adj, rest))
+
+
 def min_star_free_index(g: Graph) -> int:
-    """Smallest r >= 3 such that the graph is K_{1,r}-free."""
+    """Smallest r >= 3 such that no vertex has r independent neighbours."""
     if g.n < 1:
         raise GraphError("star-free index undefined for the empty graph")
-    r = 3
-    while not is_k1r_free(g, r):
-        r += 1
-    return r
+    return max(3, 1 + max(_independence(g.adj, nbrs) for nbrs in g.adj))
 
 
 # -- cycle-trees ---------------------------------------------------------
@@ -341,7 +363,9 @@ def is_cycle_tree(g: Graph) -> tuple[bool, int | None]:
     and the cycles are joined by bridge edges whose contraction is a
     tree. Returns (True, number of cycles) or (False, None).
     """
-    if g.n < 3 or not g.is_connected():
+    # every vertex is on a cycle; m - n + 1 disjoint cycles need 3 vertices each
+    if (g.n < 3 or min(a.bit_count() for a in g.adj) < 2
+            or 3 * (g.m - g.n + 1) > g.n or not g.is_connected()):
         return False, None
     nonbridge_deg = [0] * g.n
     bridges = 0

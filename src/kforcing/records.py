@@ -19,7 +19,7 @@ from .invariants import (
     connected_k_domination,
     hamiltonian_cycle,
     is_cycle_tree,
-    k_independence_number,
+    k_independence_numbers,
     min_star_free_index,
     path_cover_number,
     vertex_connectivity,
@@ -29,14 +29,14 @@ DEFAULT_MAX_N = 12
 
 
 class _OnDemand(dict):
-    """A dict that computes a missing key with ``compute(key)`` and keeps it."""
+    """A dict keeping ``compute(self, key)`` for a missing key; compute may add more."""
 
-    def __init__(self, compute: Callable[[int], object]):
+    def __init__(self, compute: Callable[[dict, int], object]):
         super().__init__()
         self._compute = compute
 
     def __missing__(self, key: int):
-        value = self[key] = self._compute(key)
+        value = self[key] = self._compute(self, key)
         return value
 
 
@@ -56,15 +56,25 @@ class InvariantRecord:
         self.component_count = len(components(g))
         self.connected = self.component_count == 1
         self.tree = self.connected and g.m == g.n - 1
-        self.forcing = _OnDemand(lambda k: k_forcing_number(g, k).value)
+        # no vertex has over dmax uncolored neighbours: all k >= dmax force alike
+        dmax = max(self.max_degree, 1)
+        self.forcing = _OnDemand(lambda known, k: known[dmax] if k > dmax
+                                 else k_forcing_number(g, k).value)
         self.gamma_kc = _OnDemand(
-            lambda k: (res := connected_k_domination(g, k)) and res[0]
+            lambda known, k: (res := connected_k_domination(g, k)) and res[0]
         )
-        self.alpha = _OnDemand(lambda k: k_independence_number(g, k)[0])
+
+        def alphas(known: dict, k: int) -> int:
+            # one scan answers every k up to dmax, and verify reads them all
+            found = k_independence_numbers(g, {k, *range(1, dmax + 1)})
+            known.update((j, size) for j, (size, _) in found.items())
+            return known[k]
+
+        self.alpha = _OnDemand(alphas)
         # one connectivity scan serves every k; a closure over ``g`` alone
         # keeps the record out of a reference cycle
         kappa = cache(lambda: vertex_connectivity(g))
-        self.k_connected = _OnDemand(lambda k: g.n > k and kappa() >= k)
+        self.k_connected = _OnDemand(lambda known, k: g.n > k and kappa() >= k)
 
     @property
     def gamma_c(self) -> int | None:

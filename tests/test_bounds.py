@@ -165,6 +165,25 @@ def test_report_ordering_and_exactness():
             assert r.equality == (r.slack == 0)
 
 
+def test_integer_slack_agrees_with_fraction_arithmetic(connected_upto_7, trees_by_n):
+    for g in connected_upto_7 + trees_by_n[10]:
+        rec = compute_record(g)
+        dmax = rec.max_degree
+        for r in evaluate_bounds(g, range(1, max(dmax, 1) + 1), rec=rec):
+            if not r.applicable:
+                continue
+            assert type(r.bound_value) is Fraction and type(r.slack) is Fraction
+            want = (r.bound_value - r.exact_value if r.side == "upper"
+                    else r.exact_value - r.bound_value)
+            assert r.slack == want
+            assert (r.equality, r.satisfied) == (want == 0, want >= 0)
+            # the two values no longer built by Fraction arithmetic
+            if r.bound is BoundId.TREE_COR:
+                assert r.bound_value == Fraction((dmax - 2) * g.n + 2, dmax - 1) - 1
+            if r.bound is BoundId.HAM_CUBIC:
+                assert r.bound_value == Fraction(rec.degree3_count, 2) + 1
+
+
 def test_chain_links_hold_separately(connected_upto_6):
     for g in connected_upto_6:
         if g.n < 2 or degree_profile(g)[0] < 2:

@@ -401,6 +401,21 @@ def test_search_empty_corpus(tmp_path):
     assert "achievers=0" in proc.stdout
 
 
+def test_search_skips_forcing_when_the_bound_is_not_integral(monkeypatch):
+    from kforcing import Graph, records
+    from kforcing.cli import search_equality
+
+    solved = []
+    solve = records.k_forcing_number
+    monkeypatch.setattr(records, "k_forcing_number",
+                        lambda g, k: solved.append(g.n) or solve(g, k))
+    spider = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])  # COR3 = 7/2
+    corpus = [(write_graph6(g), g.n) for g in (spider, cycle(6))]  # C_6: COR3 = 2
+    result = search_equality(corpus, "cor3")
+    assert solved == [6]
+    assert [a["classification"] for a in result.achievers] == ["cycle"]
+
+
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
     # a violated bound cannot arise from correct code, so fake one report per
     # graph to pin the loud-failure contract: summary, stdout line, exit 1

@@ -25,6 +25,19 @@ from forcing_oracle import closure_async, forcing_number_oracle
 from random_graphs import random_graph
 
 
+def test_forcing_above_max_degree_equals_forcing_at_max_degree(
+    connected_upto_7, trees_by_n
+):
+    # no vertex ever has more than max degree uncolored neighbours, so
+    # every k from the max degree up is one and the same rule
+    for g in connected_upto_7 + trees_by_n[10]:
+        dmax = max(degree_profile(g)[0], 1)
+        at_max = k_forcing_number(g, dmax)
+        for k in (dmax + 1, dmax + 2):
+            res = k_forcing_number(g, k)
+            assert (res.value, res.witness) == (at_max.value, at_max.witness)
+
+
 def newly_forced(tr) -> tuple[int, ...]:
     """Mask of vertices first colored in each round of a closure trace."""
     out = []

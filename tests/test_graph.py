@@ -35,6 +35,8 @@ def test_validation_rejects_bad_graphs():
         Graph(2, (0, 1))  # asymmetric: 1 lists 0 but not vice versa
     with pytest.raises(GraphError):
         Graph(1, (1,))  # self-loop bit
+    with pytest.raises(GraphError):
+        Graph(2, (4, 0))  # neighbour 2 out of range
 
 
 def test_graph_is_immutable():

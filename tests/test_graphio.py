@@ -16,6 +16,12 @@ from kforcing.smallgraphs import all_graphs
 from conftest import DATA
 
 
+def test_decoded_graphs_pass_validation(connected_upto_7, trees_by_n):
+    # parse_graph6 builds its graphs unchecked, as valid by construction
+    for g in connected_upto_7 + trees_by_n[10]:
+        assert Graph(g.n, g.adj) == g
+
+
 def test_empty_graph_on_five_vertices():
     g = parse_graph6("D??")
     assert g.n == 5 and g.m == 0

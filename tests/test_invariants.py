@@ -24,6 +24,7 @@ from kforcing import (
     vertex_k_connected,
     vertices_from,
 )
+from kforcing.invariants import k_independence_numbers
 from kforcing.families import (
     complete,
     complete_bipartite,
@@ -182,6 +183,13 @@ def test_gamma_kc_and_alpha_match_scans(connected_upto_7):
             assert k_independence_number(g, k) == alpha_k_scan(g, k)
 
 
+def test_k_independence_numbers_match_scan_at_every_k(connected_upto_7, trees_by_n):
+    # one scan answers every k with that k's own colex-first witness
+    for g in connected_upto_7 + trees_by_n[10]:
+        ks = range(1, degree_profile(g)[0] + 2)
+        assert k_independence_numbers(g, ks) == {k: alpha_k_scan(g, k) for k in ks}
+
+
 def test_gamma_witness_is_valid(connected_upto_6):
     for g in connected_upto_6[:50]:
         size, mask = connected_k_domination(g, 1)
@@ -199,6 +207,8 @@ def test_alpha_examples():
     for g in (cycle(6), complete(4), star(3)):
         dmax = degree_profile(g)[0]
         assert k_independence_number(g, dmax + 1)[0] == g.n
+    with pytest.raises(ValueError):
+        k_independence_numbers(cycle(5), [2, 0])
 
 
 def test_alpha_against_oracle_on_corpus(connected_upto_6):
@@ -462,6 +472,18 @@ def test_min_star_free_index():
         min_star_free_index(Graph(0, ()))
 
 
+def star_free_ladder(g: Graph) -> int:
+    r = 3
+    while not is_k1r_free(g, r):
+        r += 1
+    return r
+
+
+def test_min_star_free_index_matches_k1r_free_ladder(connected_upto_7, trees_by_n):
+    for g in connected_upto_7 + trees_by_n[10]:
+        assert min_star_free_index(g) == star_free_ladder(g)
+
+
 def test_k1r_neighbor_bound_on_max_k_independent_sets(connected_upto_6):
     # every maximum k-independent set I: outside vertices have at most
     # k(r-1) neighbors in I when the graph is K_{1,r}-free with min degree 1
@@ -501,6 +523,29 @@ def test_cycle_tree_rejects_shared_vertex():
 def test_cycle_tree_rejects_theta_graph():
     g = Graph.from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
     assert is_cycle_tree(g) == (False, None)
+
+
+def cycle_tree_oracle(g: Graph) -> tuple[bool, int | None]:
+    """Connected, and each vertex keeps exactly two edges once every
+    bridge (an edge whose deletion disconnects the graph) is dropped."""
+    if g.n < 3 or not g.is_connected():
+        return False, None
+    kept = [0] * g.n
+    for u, v in g.edges():
+        if g.delete_edge(u, v).is_connected():
+            kept[u] += 1
+            kept[v] += 1
+    if any(d != 2 for d in kept):
+        return False, None
+    return True, g.m - g.n + 1
+
+
+def test_cycle_tree_against_bridge_deletion_oracle(connected_upto_7, trees_by_n):
+    graphs = connected_upto_7 + trees_by_n[10]
+    graphs += [cycle_tree(lengths) for lengths in ((3, 3), (3, 4, 5), (5, 3, 3, 4))]
+    assert sum(is_cycle_tree(g)[0] for g in graphs) >= 10
+    for g in graphs:
+        assert is_cycle_tree(g) == cycle_tree_oracle(g)
 
 
 def test_cycle_tree_component_structure():

@@ -1,5 +1,6 @@
 import pytest
 
+from kforcing import records
 from kforcing import (
     ExactScopeError,
     compute_record,
@@ -49,6 +50,25 @@ def test_record_extra_forcing_indices_for_star_free_bounds():
         assert rec.forcing[idx] == k_forcing_number(g, idx).value
 
 
+def test_record_reads_forcing_above_max_degree_from_max_degree(monkeypatch):
+    solved = []
+    solve = records.k_forcing_number
+    monkeypatch.setattr(records, "k_forcing_number",
+                        lambda g, k: solved.append(k) or solve(g, k))
+    g = cycle(5)
+    rec = compute_record(g)
+    assert rec.forcing[4] == rec.forcing[3] == rec.forcing[2] == 1
+    assert solved == [2]
+
+
+def test_record_first_alpha_read_fills_every_k_to_max_degree():
+    g = star(4)
+    rec = compute_record(g)
+    assert rec.alpha[2] == 4
+    assert rec.alpha == {k: k_independence_number(g, k)[0] for k in (1, 2, 3, 4)}
+    assert rec.alpha[6] == 5
+
+
 def test_record_disconnected():
     g = disjoint_union(complete(3), path(2))
     rec = compute_record(g)
@@ -63,6 +83,8 @@ def test_record_scope_and_validation():
         compute_record(path(13))
     with pytest.raises(ValueError):
         compute_record(path(3)).forcing[0]
+    with pytest.raises(ValueError):
+        compute_record(path(3)).alpha[0]
     rec = compute_record(path(13), max_n=13)
     assert rec.forcing[1] == 1
 
