@@ -6,18 +6,14 @@ from .bounds import (
     ALL_BOUNDS,
     BoundId,
     BoundReport,
-    ComparisonReport,
     bound_value,
-    comparison_main2_vs_main,
     evaluate_bounds,
 )
 from .families import FAMILIES, FamilySpec, generate
 from .forcing import (
-    ForcingTrace,
     KForcingResult,
     NotKConnectedError,
     check_spread,
-    closure,
     greedy_k_forcing_upper,
     is_k_forcing_set,
     k_forcing_number,
@@ -39,8 +35,6 @@ from .graphio import (
     graph6_order,
     parse_edge_list,
     parse_graph6,
-    read_graph6_file,
-    write_edge_list,
     write_graph6,
 )
 from .invariants import (
@@ -48,7 +42,6 @@ from .invariants import (
     connected_k_domination,
     hamiltonian_cycle,
     is_cycle_tree,
-    is_k1r_free,
     k_independence_number,
     max_leaf_spanning_tree,
     min_star_free_index,
@@ -64,12 +57,10 @@ __all__ = [
     "ALL_BOUNDS",
     "BoundId",
     "BoundReport",
-    "ComparisonReport",
     "DEFAULT_MAX_N",
     "ExactScopeError",
     "FAMILIES",
     "FamilySpec",
-    "ForcingTrace",
     "Graph",
     "Graph6Error",
     "GraphError",
@@ -78,8 +69,6 @@ __all__ = [
     "NotKConnectedError",
     "bound_value",
     "check_spread",
-    "closure",
-    "comparison_main2_vs_main",
     "components",
     "compute_record",
     "connected_k_domination",
@@ -91,7 +80,6 @@ __all__ = [
     "greedy_k_forcing_upper",
     "hamiltonian_cycle",
     "is_cycle_tree",
-    "is_k1r_free",
     "is_k_forcing_set",
     "iter_bits",
     "k_forcing_number",
@@ -103,11 +91,9 @@ __all__ = [
     "parse_edge_list",
     "parse_graph6",
     "path_cover_number",
-    "read_graph6_file",
     "subsets_of_size",
     "vertex_connectivity",
     "vertex_k_connected",
     "vertices_from",
-    "write_edge_list",
     "write_graph6",
 ]

@@ -261,45 +261,3 @@ def evaluate_bounds(
                     _q(d, q), d == 0, d >= 0, check.detail(rec, k),
                 ))
     return reports
-
-
-@dataclass(frozen=True)
-class ComparisonReport:
-    """Exact comparison of the two general upper bounds at one k."""
-
-    k: int
-    general_value: Fraction       # MAIN
-    connected_value: Fraction     # MAIN2
-    tighter: str                  # "MAIN" | "MAIN2" | "tie"
-    improvement_asserted: bool    # MAIN2 <= MAIN is claimed for this input
-
-
-def comparison_main2_vs_main(
-    g: Graph, k: int, rec: InvariantRecord | None = None
-) -> ComparisonReport:
-    """Compare MAIN2 against MAIN for one graph and k.
-
-    MAIN2 is claimed to improve on MAIN for k-connected graphs with
-    min degree >= k and k <= 2; for k >= 3 the comparison is
-    informational only. Requires both bounds applicable.
-    """
-    if rec is None:
-        rec = compute_record(g)
-    main = bound_value(BoundId.MAIN, g, k, rec)
-    main2 = bound_value(BoundId.MAIN2, g, k, rec)
-    if main is None or main2 is None:
-        raise GraphError("both bounds must be applicable for the comparison")
-    if main2 < main:
-        tighter = "MAIN2"
-    elif main < main2:
-        tighter = "MAIN"
-    else:
-        tighter = "tie"
-    asserted = rec.k_connected[k] and rec.min_degree >= k and k <= 2
-    return ComparisonReport(
-        k=k,
-        general_value=main,
-        connected_value=main2,
-        tighter=tighter,
-        improvement_asserted=asserted,
-    )

@@ -16,10 +16,12 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
+from inspect import signature
 from itertools import product
 
 from .bounds import ALL_BOUNDS, BOUNDS, BoundId, BoundReport, evaluate_bounds
 from .families import (
+    FAMILIES,
     FamilySpec,
     complete_bipartite_parts,
     generate,
@@ -154,20 +156,6 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
 
 # -- family sweep grammar --------------------------------------------------
 
-_TUPLE_PARAMS = {
-    "path": ("int",),
-    "cycle": ("int",),
-    "complete": ("int",),
-    "complete_bipartite": ("int", "int"),
-    "star": ("int",),
-    "subdivided_star": ("int", "int"),
-    "double_leaf_caterpillar": ("int",),
-    "cycle_tree": ("tuple",),
-    "circulant": ("int", "tuple"),
-    "pendant_path": ("int",),
-}
-
-
 def _expand_item(item: str) -> list[int]:
     if ".." in item:
         lo, _, hi = item.partition("..")
@@ -185,9 +173,10 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     """
     head, *groups = text.split(":")
     family = head.strip()
-    if family not in _TUPLE_PARAMS:
+    if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
-    shapes = _TUPLE_PARAMS[family]
+    # each constructor annotates its parameters "int" or "tuple[int, ...]"
+    shapes = [p.annotation for p in signature(FAMILIES[family]).parameters.values()]
     if len(groups) != len(shapes):
         raise ValueError(
             f"{family} takes {len(shapes)} parameter group(s), got {len(groups)}"
@@ -261,15 +250,16 @@ def _applicable_tail(rep: BoundReport) -> str:
 
 
 def _verify_one(
-    task: tuple[int, str, list[int] | None, tuple[BoundId, ...], int]
-) -> tuple[int, str, tuple[int, int, int], list[str], dict]:
+    task: tuple[int, str, list[int] | None, tuple[BoundId, ...], int, bool]
+) -> tuple[int, str, tuple[int, int, int], list[str], dict | None]:
     """Worker: evaluate the configured bounds on one graph.
 
     Returns the graph's finished JSONL block, its (checked, equal,
-    not_applicable) counts, its ``VIOLATION:`` lines and its CSV row.
+    not_applicable) counts, its ``VIOLATION:`` lines and its CSV row, which
+    reads gamma_c and alpha_1, so it is None unless ``want_row`` is set.
     ``ks`` None means auto: 1 up to the graph's maximum degree.
     """
-    index, g6, ks, ids, max_n = task
+    index, g6, ks, ids, max_n, want_row = task
     g = parse_graph6(g6)
     rec = compute_record(g, max_n=max_n)
     if ks is None:
@@ -294,7 +284,7 @@ def _verify_one(
                 f"side={rep.side} bound_value={rep.bound_value!s} exact={rep.exact_value}"
             )
     counts = (len(reports) - not_applicable, len(equalities), not_applicable)
-    row = {
+    row = None if not want_row else {
         "index": index,
         "graph6": g6,
         "n": g.n,
@@ -334,7 +324,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         indexed = [indexed[i] for i in keep]
 
     skipped = [(i, g6) for i, (g6, n) in indexed if n > cfg.max_n]
-    work = [(i, g6, ks, ids, cfg.max_n) for i, (g6, n) in indexed if n <= cfg.max_n]
+    work = [(i, g6, ks, ids, cfg.max_n, bool(cfg.out_csv))
+            for i, (g6, n) in indexed if n <= cfg.max_n]
 
     checked = equal = not_applicable = 0
     violations: list[str] = []
@@ -352,7 +343,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             equal += n_equal
             not_applicable += n_not_applicable
             violations += found
-            csv_rows.append(row)
+            if csv:
+                csv_rows.append(row)
             if jsonl:
                 jsonl.write(text)
         if csv:

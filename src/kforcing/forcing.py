@@ -6,30 +6,15 @@ rule is the whole vertex set is a k-forcing set; the k-forcing number
 is the smallest size of one.
 
 Closures here run in synchronous rounds (every eligible forcer fires
-simultaneously); the fixpoint is scheduler-independent. :func:`closure`
-records every round; set tests and searches need only the fixpoint and
-run :func:`_fixpoint`, which keeps no trace.
+simultaneously) to their fixpoint, which is scheduler-independent;
+:func:`_fixpoint` keeps no trace of the rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph, GraphError, components, iter_bits, subsets_of_size
-
-
-@dataclass(frozen=True)
-class ForcingTrace:
-    """Record of one closure run.
-
-    ``rounds[i]`` lists (forcer, mask of neighbors it forced) for every
-    vertex that fired in round i; ``final`` is the fixpoint colored set.
-    """
-
-    initial: int
-    k: int
-    rounds: tuple[tuple[tuple[int, int], ...], ...]
-    final: int
+from .graph import Graph, GraphError, components, subsets_of_size
 
 
 @dataclass(frozen=True)
@@ -42,36 +27,8 @@ class KForcingResult:
     all_minimum: tuple[int, ...] | None = None
 
 
-def closure(g: Graph, initial: int, k: int) -> ForcingTrace:
-    """Run the k-forcing process to its fixpoint from ``initial``.
-
-    Synchronous rounds: every colored vertex with 1..k non-colored
-    neighbors forces all of them at once. Stops when no vertex
-    qualifies.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if initial & ~g.full_mask:
-        raise GraphError("initial set contains out-of-range vertices")
-    colored = initial
-    rounds: list[tuple[tuple[int, int], ...]] = []
-    while True:
-        fires = []
-        newly = 0
-        for v in iter_bits(colored):
-            uncolored = g.adj[v] & ~colored
-            if uncolored and uncolored.bit_count() <= k:
-                fires.append((v, uncolored))
-                newly |= uncolored
-        if not fires:
-            break
-        rounds.append(tuple(fires))
-        colored |= newly
-    return ForcingTrace(initial=initial, k=k, rounds=tuple(rounds), final=colored)
-
-
 def _fixpoint(adj: tuple[int, ...], colored: int, k: int) -> int:
-    """The final colored set of :func:`closure`, with no trace and no checks."""
+    """The colored set once no forcer fires, from ``colored``; no checks."""
     while True:
         newly = 0
         rest = colored

@@ -1,4 +1,4 @@
-"""graph6 and edge-list serialization.
+"""graph6 reading and writing, and the edge-list reader.
 
 graph6 packs the upper-triangle adjacency bits (column by column) into
 6-bit groups offset by 63, after a length header: a single byte for
@@ -105,12 +105,6 @@ def write_graph6(g: Graph) -> str:
     return "".join(chr(x + 63) for x in head + groups)
 
 
-def read_graph6_file(path: str) -> list[Graph]:
-    """Parse every nonempty line of a graph6 file."""
-    with open(path, encoding="ascii") as fh:
-        return [parse_graph6(line) for line in fh if line.strip()]
-
-
 def write_graph6_file(path: str, graphs: Iterable[Graph]) -> None:
     """Write one graph6 line per graph to ``path``, or to stdout for '-'.
 
@@ -150,15 +144,3 @@ def parse_edge_list(text: str) -> Graph:
             raise GraphError(f"line {lineno}: expected 'u v' or 'v', got {raw!r}")
     n = max(present) + 1 if present else 0
     return Graph.from_edges(n, edges)
-
-
-def write_edge_list(g: Graph) -> str:
-    lines = [f"{u} {v}" for u, v in g.edges()]
-    covered = set()
-    for u, v in g.edges():
-        covered.add(u)
-        covered.add(v)
-    for v in range(g.n):
-        if v not in covered:
-            lines.append(str(v))
-    return "\n".join(lines) + ("\n" if lines else "")

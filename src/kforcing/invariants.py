@@ -8,10 +8,9 @@ approximating.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable
 
-from .graph import Graph, GraphError, iter_bits, subsets_of_size, vertices_from
+from .graph import Graph, GraphError, components, iter_bits, subsets_of_size
 
 
 class ExactScopeError(GraphError):
@@ -133,29 +132,12 @@ def path_cover_number(t: Graph) -> tuple[int, tuple[int, ...]]:
     while stack:
         v, used = stack.pop()
         picked = pick_used[v] if used else pick_free[v]
-        kids = [u for u in iter_bits(t.adj[v]) if parent[u] == v]
-        for u in kids:
-            if u in picked:
-                chosen_adj[v] |= 1 << u
-                chosen_adj[u] |= 1 << v
-                stack.append((u, True))
-            else:
-                stack.append((u, False))
+        stack += [(u, u in picked) for u in iter_bits(t.adj[v]) if parent[u] == v]
+        for u in picked:
+            chosen_adj[v] |= 1 << u
+            chosen_adj[u] |= 1 << v
 
-    parts = []
-    remaining = t.full_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= chosen_adj[v]
-            frontier = nxt & ~comp
-            comp |= frontier
-        parts.append(comp)
-        remaining &= ~comp
+    parts = components(Graph(n, tuple(chosen_adj)))
     assert len(parts) == n - dp_free[0]
     return len(parts), tuple(parts)
 
@@ -303,20 +285,6 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
 
 # -- induced-star freeness ---------------------------------------------------
 
-def is_k1r_free(g: Graph, r: int) -> bool:
-    """True iff no vertex has r pairwise non-adjacent neighbors."""
-    if r < 3:
-        raise ValueError(f"r must be at least 3, got {r}")
-    for v in range(g.n):
-        nbrs = vertices_from(g.adj[v])
-        if len(nbrs) < r:
-            continue
-        for combo in combinations(nbrs, r):
-            if all(not g.has_edge(a, b) for a, b in combinations(combo, 2)):
-                return False
-    return True
-
-
 def _independence(adj: tuple[int, ...], mask: int) -> int:
     """Independence number of the subgraph that ``mask`` induces."""
     if not mask:
@@ -338,22 +306,7 @@ def min_star_free_index(g: Graph) -> int:
 
 def is_bridge(g: Graph, u: int, v: int) -> bool:
     """True iff removing edge (u, v) separates u from v."""
-    if not g.has_edge(u, v):
-        raise GraphError(f"no edge ({u}, {v})")
-    seen = 1 << u
-    frontier = seen
-    while frontier:
-        nxt = 0
-        for w in iter_bits(frontier):
-            reach = g.adj[w]
-            if w == u:
-                reach &= ~(1 << v)
-            elif w == v:
-                reach &= ~(1 << u)
-            nxt |= reach
-        frontier = nxt & ~seen
-        seen |= frontier
-    return not seen & (1 << v)
+    return not g.delete_edge(u, v).component_of(u) & 1 << v
 
 
 def is_cycle_tree(g: Graph) -> tuple[bool, int | None]:

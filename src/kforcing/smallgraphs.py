@@ -27,6 +27,8 @@ Run as a module to regenerate corpus files:
 
 from __future__ import annotations
 
+from typing import Callable, Iterable
+
 from .graph import Graph, iter_bits
 
 
@@ -105,24 +107,31 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_key(*canonical_key(g))
 
 
+def _grow(n: int, candidates: Callable[..., Iterable[tuple[int, ...]]]) -> list[Graph]:
+    """The classes on n vertices, grown from K_1 one vertex at a time.
+
+    ``candidates(adj, v)`` yields the adjacency of each extension of a
+    class with adjacency ``adj`` by a new vertex v; each is keyed once.
+    """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
+    layer = [Graph(1, (0,))]
+    for size in range(2, n + 1):
+        seen = {canonical_key(Graph(size, adj))
+                for h in layer for adj in candidates(h.adj, size - 1)}
+        layer = [_graph_from_key(*key) for key in sorted(seen)]
+    return layer
+
+
 def all_graphs(n: int) -> list[Graph]:
     """All graphs on n vertices up to isomorphism (canonical forms).
 
     Augments each (n-1)-vertex class by every neighbor subset of a new
     vertex and deduplicates canonically.
     """
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    layer = [Graph(1, (0,))]
-    for size in range(2, n + 1):
-        seen = set()
-        for h in layer:
-            for nbrs in range(1 << (size - 1)):
-                adj = [a | ((nbrs >> v & 1) << (size - 1)) for v, a in enumerate(h.adj)]
-                adj.append(nbrs)
-                seen.add(canonical_key(Graph(size, tuple(adj))))
-        layer = [_graph_from_key(*key) for key in sorted(seen)]
-    return layer
+    return _grow(n, lambda adj, new: (
+        (*(a | (nbrs >> v & 1) << new for v, a in enumerate(adj)), nbrs)
+        for nbrs in range(1 << new)))
 
 
 def connected_graphs(n: int) -> list[Graph]:
@@ -132,19 +141,8 @@ def connected_graphs(n: int) -> list[Graph]:
 
 def all_trees(n: int) -> list[Graph]:
     """All trees on n vertices up to isomorphism, by leaf augmentation."""
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    layer = [Graph(1, (0,))]
-    for size in range(2, n + 1):
-        seen = set()
-        for h in layer:
-            for v in range(size - 1):
-                adj = list(h.adj)
-                adj[v] |= 1 << (size - 1)
-                adj.append(1 << v)
-                seen.add(canonical_key(Graph(size, tuple(adj))))
-        layer = [_graph_from_key(*key) for key in sorted(seen)]
-    return layer
+    return _grow(n, lambda adj, new: (
+        (*adj[:v], adj[v] | 1 << new, *adj[v + 1:], 1 << v) for v in range(new)))
 
 
 def _main(argv: list[str] | None = None) -> int:

@@ -9,13 +9,19 @@ from pathlib import Path
 
 import pytest
 
-from kforcing import read_graph6_file
+from kforcing import Graph, parse_graph6
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
 # OEIS A001349 (connected graphs) and A000055 (trees), by vertex count.
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47, 10: 106}
+
+
+def read_graph6_file(path: str) -> list[Graph]:
+    """Parse every nonempty line of a graph6 file."""
+    with open(path, encoding="ascii") as fh:
+        return [parse_graph6(line) for line in fh if line.strip()]
 
 
 def load_connected(n: int):

@@ -14,7 +14,6 @@ from fractions import Fraction
 from kforcing import (
     BoundId,
     bound_value,
-    closure,
     components,
     compute_record,
     connected_k_domination,
@@ -25,12 +24,12 @@ from kforcing import (
     max_leaf_spanning_tree,
     min_forcing_connected_complement,
     path_cover_number,
-    read_graph6_file,
     vertex_k_connected,
     vertices_from,
     write_graph6,
 )
 from kforcing.cli import _classify_achiever
+from kforcing.forcing import _fixpoint
 from kforcing.families import (
     complete,
     complete_bipartite,
@@ -40,7 +39,7 @@ from kforcing.families import (
     subdivided_star,
 )
 
-from conftest import DATA
+from conftest import DATA, read_graph6_file
 from forcing_oracle import closure_async
 from random_graphs import random_graph
 
@@ -240,7 +239,7 @@ def test_criterion_7_confluence(connected_upto_6):
             initials = [1 << v for v in range(g.n)]
             initials += list(k_forcing_number(g, k, collect_all_minimum=True).all_minimum)
             for init in initials:
-                if closure(g, init, k).final != closure_async(g, init, k):
+                if _fixpoint(g.adj, init, k) != closure_async(g, init, k):
                     failures.append((write_graph6(g), k, init))
     report("criterion-7", failures,
            "synchronous and asynchronous closures reach the same fixpoint")

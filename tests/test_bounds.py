@@ -1,13 +1,9 @@
 from fractions import Fraction
 
-import pytest
-
 from kforcing import (
     ALL_BOUNDS,
     BoundId,
-    GraphError,
     bound_value,
-    comparison_main2_vs_main,
     compute_record,
     connected_k_domination,
     degree_profile,
@@ -220,35 +216,23 @@ def test_gated_off_invariant_is_never_computed():
     assert rec.k_connected[2] is False
 
 
-def test_comparison_examples():
-    rep = comparison_main2_vs_main(cycle(4), 2)
-    assert rep.connected_value == Fraction(1)
-    assert rep.general_value == Fraction(4, 3)
-    assert rep.tighter == "MAIN2" and rep.improvement_asserted
-
-    rep = comparison_main2_vs_main(complete(4), 1)
-    assert rep.general_value == rep.connected_value == Fraction(3)
-    assert rep.tighter == "tie" and rep.improvement_asserted
-
-    rep = comparison_main2_vs_main(complete(5), 3)
-    assert not rep.improvement_asserted  # k >= 3: informational only
-
-    with pytest.raises(GraphError):
-        comparison_main2_vs_main(path(4), 2)  # MAIN2 needs 2-connectivity
-
-
-def test_comparison_improvement_holds_on_corpus(connected_upto_6):
+def test_main2_at_most_main_where_claimed(connected_upto_6):
+    # the paper's claim: MAIN2 <= MAIN for k-connected graphs with d >= k, k <= 2
+    claimed = 0
     for g in connected_upto_6:
-        dmax, dmin, _, _ = degree_profile(g)
+        rec = compute_record(g)
         for k in (1, 2):
-            if dmax < max(k, 2) or dmin < k:
+            if rec.min_degree < k or not rec.k_connected[k] or rec.max_degree < 2:
                 continue
-            rec = compute_record(g)
-            if not rec.k_connected[k]:
-                continue
-            rep = comparison_main2_vs_main(g, k, rec)
-            assert rep.improvement_asserted
-            assert rep.connected_value <= rep.general_value
+            main = bound_value(BoundId.MAIN, g, k, rec)
+            assert bound_value(BoundId.MAIN2, g, k, rec) <= main
+            claimed += 1
+    assert claimed > 100
+    c4, k4 = cycle(4), complete(4)
+    assert bound_value(BoundId.MAIN2, c4, 2, compute_record(c4)) == Fraction(1)
+    assert bound_value(BoundId.MAIN, c4, 2, compute_record(c4)) == Fraction(4, 3)
+    assert bound_value(BoundId.MAIN2, k4, 1, compute_record(k4)) == Fraction(3)
+    assert bound_value(BoundId.MAIN, k4, 1, compute_record(k4)) == Fraction(3)
 
 
 def test_readme_bounds_table_mirrors_bound_ids():

@@ -416,6 +416,41 @@ def test_search_skips_forcing_when_the_bound_is_not_integral(monkeypatch):
     assert [a["classification"] for a in result.achievers] == ["cycle"]
 
 
+def test_verify_without_csv_runs_no_solver_for_the_row(monkeypatch, capsys):
+    from kforcing import records
+
+    for name in ("connected_k_domination", "k_independence_numbers"):
+        monkeypatch.setattr(records, name, lambda *a, name=name: pytest.fail(name))
+    assert main(["verify", "--input", str(DATA / "connected_6.g6"),
+                 "--bounds", "LOWER_DEG", "--jobs", "1"]) == 0
+    assert "violations=0" in capsys.readouterr().out
+
+
+def test_compute_record_prints_the_forcing_indices_bounds_read(capsys):
+    from kforcing import compute_record
+    from kforcing.bounds import BOUNDS
+    from kforcing.cli import _parse_ks
+
+    class Logged(dict):
+        def __missing__(self, k):
+            read.add(k)
+            return 0
+
+    for n in range(1, 7):
+        for g6 in (DATA / f"connected_{n}.g6").read_text().split():
+            for ks in ("1", "2", "1..3", "auto"):
+                assert main(["compute", "--graph6", g6, "--invariant", "record",
+                             "--ks", ks, "--json"]) == 0
+                printed = json.loads(capsys.readouterr().out)["forcing"]
+                rec, read = compute_record(parse_graph6(g6)), set()
+                rec.forcing = Logged()
+                for k in _parse_ks(ks, rec.max_degree):
+                    for entry in BOUNDS.values():
+                        for check in entry.checks:
+                            check.exact(rec, k)
+                assert [int(i) for i in printed] == sorted(read)
+
+
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
     # a violated bound cannot arise from correct code, so fake one report per
     # graph to pin the loud-failure contract: summary, stdout line, exit 1

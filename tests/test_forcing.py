@@ -7,7 +7,6 @@ from kforcing import (
     GraphError,
     NotKConnectedError,
     check_spread,
-    closure,
     components,
     degree_profile,
     disjoint_union,
@@ -21,7 +20,7 @@ from kforcing import (
 from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
 
-from forcing_oracle import closure_async, forcing_number_oracle
+from forcing_oracle import closure, closure_async, forcing_number_oracle
 from random_graphs import random_graph
 
 
@@ -132,7 +131,7 @@ def test_is_k_forcing_set_cycle_cases():
     g = cycle(6)
     assert is_k_forcing_set(g, mask_from([0, 1]), 1)
     assert not is_k_forcing_set(g, mask_from([0, 3]), 1)
-    assert closure(g, mask_from([0, 3]), 1).final == mask_from([0, 3])
+    assert _fixpoint(g.adj, mask_from([0, 3]), 1) == mask_from([0, 3])
     assert is_k_forcing_set(g, g.full_mask, 1)
 
 
@@ -235,8 +234,8 @@ def test_superset_closure_monotonicity():
         extra = rng.getrandbits(g.n)
         t = s | extra
         for k in (1, 2):
-            fs = closure(g, s, k).final
-            ft = closure(g, t, k).final
+            fs = _fixpoint(g.adj, s, k)
+            ft = _fixpoint(g.adj, t, k)
             assert fs & ~ft == 0
 
 
@@ -244,7 +243,7 @@ def test_confluence_spot_checks():
     for g in (cycle(6), PETERSEN, complete_bipartite(3, 3)):
         for k in (1, 2, 3):
             for v in range(g.n):
-                assert closure(g, 1 << v, k).final == closure_async(g, 1 << v, k)
+                assert _fixpoint(g.adj, 1 << v, k) == closure_async(g, 1 << v, k)
 
 
 def test_greedy_examples():

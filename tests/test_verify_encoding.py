@@ -47,7 +47,7 @@ def verify_with_reports(monkeypatch, index: int, g6: str, ks=None, reports=None)
     real = cli.evaluate_bounds
     with monkeypatch.context() as patch:
         patch.setattr(cli, "evaluate_bounds", evaluate)
-        result = cli._verify_one((index, g6, ks, ALL_BOUNDS, DEFAULT_MAX_N))
+        result = cli._verify_one((index, g6, ks, ALL_BOUNDS, DEFAULT_MAX_N, True))
     return result, list(seen)
 
 
