@@ -216,7 +216,17 @@ def test_gated_off_invariant_is_never_computed():
     assert rec.k_connected[2] is False
 
 
-def test_main2_at_most_main_where_claimed(connected_upto_6):
+def test_comparison_examples():
+    c4, k4, p4 = cycle(4), complete(4), path(4)
+    assert bound_value(BoundId.MAIN2, c4, 2, compute_record(c4)) == Fraction(1)
+    assert bound_value(BoundId.MAIN, c4, 2, compute_record(c4)) == Fraction(4, 3)
+    assert bound_value(BoundId.MAIN2, k4, 1, compute_record(k4)) == Fraction(3)
+    assert bound_value(BoundId.MAIN, k4, 1, compute_record(k4)) == Fraction(3)
+    # MAIN2 needs k-connectivity: a path is not 2-connected
+    assert bound_value(BoundId.MAIN2, p4, 2, compute_record(p4)) is None
+
+
+def test_comparison_improvement_holds_on_corpus(connected_upto_6):
     # the paper's claim: MAIN2 <= MAIN for k-connected graphs with d >= k, k <= 2
     claimed = 0
     for g in connected_upto_6:
@@ -228,11 +238,6 @@ def test_main2_at_most_main_where_claimed(connected_upto_6):
             assert bound_value(BoundId.MAIN2, g, k, rec) <= main
             claimed += 1
     assert claimed > 100
-    c4, k4 = cycle(4), complete(4)
-    assert bound_value(BoundId.MAIN2, c4, 2, compute_record(c4)) == Fraction(1)
-    assert bound_value(BoundId.MAIN, c4, 2, compute_record(c4)) == Fraction(4, 3)
-    assert bound_value(BoundId.MAIN2, k4, 1, compute_record(k4)) == Fraction(3)
-    assert bound_value(BoundId.MAIN, k4, 1, compute_record(k4)) == Fraction(3)
 
 
 def test_readme_bounds_table_mirrors_bound_ids():
