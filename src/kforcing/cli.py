@@ -156,11 +156,13 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
 
 # -- family sweep grammar --------------------------------------------------
 
-def _expand_item(item: str) -> list[int]:
-    if ".." in item:
-        lo, _, hi = item.partition("..")
-        return list(range(int(lo), int(hi) + 1))
-    return [int(item)]
+def _expand_item(item: str, owner: str) -> list[int]:
+    """The integers of an ``a`` or ``a..b`` item; errors name its ``owner``."""
+    lo, dots, hi = item.partition("..")
+    try:
+        return list(range(int(lo), int(hi) + 1)) if dots else [int(item)]
+    except ValueError:
+        raise ValueError(f"{owner}: expected an integer or a..b, got {item!r}") from None
 
 
 def expand_family_spec(text: str) -> list[FamilySpec]:
@@ -183,7 +185,7 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
         )
     choices: list[list] = []
     for shape, group in zip(shapes, groups):
-        expanded = [_expand_item(item) for item in group.split(",")]
+        expanded = [_expand_item(item, family) for item in group.split(",")]
         if shape == "int":
             if len(expanded) != 1:
                 raise ValueError(
@@ -202,7 +204,7 @@ def _parse_ks(text: str, max_degree: int) -> list[int]:
         return list(range(1, max(max_degree, 1) + 1))
     out = []
     for part in text.split(","):
-        out.extend(_expand_item(part.strip()))
+        out.extend(_expand_item(part.strip(), "--k"))
     if not out:
         raise ValueError(f"no forcing index in {text!r}")
     if any(k < 1 for k in out):

@@ -1,10 +1,16 @@
 """Exhaustive enumeration of small graphs up to isomorphism.
 
-Corpus generator for the verification campaigns: one representative
-per isomorphism class, built by vertex augmentation with canonical-form
-deduplication. The canonical form is the least upper-triangle adjacency
-bitstring over every vertex order that keeps the cells of an iteratively
-refined degree colouring in ascending colour order, so it is exact.
+Corpus generator for the verification campaigns: one representative per
+isomorphism class, grown from K_1 a vertex at a time and deduplicated by
+canonical key. Connected graphs grow from connected classes only, which
+reaches every class: each has a non-cut vertex. The vertices fall into
+the cells of the refined degree partition (McKay and Piperno, "Practical
+graph isomorphism, II", 2014), kept as bitmasks: from the degree classes,
+ascending, each round splits every cell by its vertices' neighbour
+counts in the previous round's cells, larger counts in earlier cells
+first, until none splits. The canonical form is the least upper-triangle
+adjacency bitstring over every vertex order that lists these cells in
+order, so it is exact.
 
 It is found row by row rather than by trying every order. Read from its
 most significant bit, with positions counted from the last slot, the
@@ -29,52 +35,51 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .graph import Graph, iter_bits
+from .graph import Graph
 
 
-def _refined_coloring(g: Graph) -> list[int]:
-    """Stable vertex coloring refined from degrees by neighbor multisets."""
-    colors = [g.degree(v) for v in range(g.n)]
-    while True:
-        sig = [
-            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.adj[v]))))
-            for v in range(g.n)
-        ]
-        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [rank[sig[v]] for v in range(g.n)]
-        if new == colors:
-            return colors
-        colors = new
+def _refined_cells(g: Graph) -> list[int]:
+    """The refined degree partition of g as ordered cell bitmasks."""
+    n, adj = g.n, g.adj
+    cells = [sum(1 << v for v in range(n) if adj[v].bit_count() == d)
+             for d in sorted({nv.bit_count() for nv in adj})]
+    while len(cells) < n:
+        split = []
+        for cell in cells:
+            parts = {}
+            rest = cell if cell & (cell - 1) else 0  # a single vertex never splits
+            while rest:
+                bit = rest & -rest
+                rest ^= bit
+                nv = adj[bit.bit_length() - 1]
+                sig = tuple([-(nv & c).bit_count() for c in cells])
+                parts[sig] = parts.get(sig, 0) | bit
+            split += [parts[sig] for sig in sorted(parts)] if parts else [cell]
+        if len(split) == len(cells):
+            break
+        cells = split
+    return cells
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """(n, minimal adjacency bitstring) identifying the isomorphism class.
-
-    The bitstring is the least over every vertex order that lists the
-    refined colour cells in ascending colour order, found row by row as
-    the module docstring explains.
-    """
+    """(n, minimal adjacency bitstring) identifying the isomorphism class."""
     n, adj = g.n, g.adj
-    if n <= 1:
-        return n, 0
-    cells = {}
-    for v, c in enumerate(_refined_coloring(g)):
-        cells[c] = cells.get(c, 0) | 1 << v
-    # Positions count from the last slot, so cells come in descending colour
-    # order. A state is the ordered cells of the vertices not yet placed; the
-    # rows to come depend on nothing else, so equal states are merged.
-    frontier = {tuple(cells[c] for c in sorted(cells, reverse=True))}
+    # Cells run in reverse, as positions count from the last slot. A state,
+    # the ordered cells still to fill, fixes every later row: equal ones merge.
+    frontier = {tuple(reversed(_refined_cells(g)))}
     key = 0
     for r in range(n - 1):
         best, nxt = None, set()
-        for first, *rest in frontier:
-            tried = []
-            for v in iter_bits(first):
-                bit, nv = 1 << v, adj[v]
+        for state in frontier:
+            tried, todo = [], state[0]
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                nv = adj[v := bit.bit_length() - 1]
                 if any(adj[u] & ~bit == nv & ~(1 << u) for u in tried):
                     continue  # a twin: swapping them fixes every cell
                 tried.append(v)
-                later = (first & ~bit, *rest)
+                later = [state[0] ^ bit, *state[1:]]
                 row = 0
                 for cell in later:
                     row = row << cell.bit_count() | (1 << (cell & nv).bit_count()) - 1
@@ -82,8 +87,8 @@ def canonical_key(g: Graph) -> tuple[int, int]:
                     continue
                 if row != best:
                     best, nxt = row, set()
-                nxt.add(tuple(part for cell in later
-                              for part in (cell & ~nv, cell & nv) if part))
+                nxt.add(tuple([part for cell in later
+                               for part in (cell & ~nv, cell & nv) if part]))
         key = key << (n - 1 - r) | best
         frontier = nxt
     return n, key
@@ -92,14 +97,12 @@ def canonical_key(g: Graph) -> tuple[int, int]:
 def _graph_from_key(n: int, key: int) -> Graph:
     """The graph whose upper-triangle bitstring is ``key``."""
     adj = [0] * n
-    pos = 0
-    for j in range(1, n):
-        for i in range(j):
-            if key & (1 << pos):
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-            pos += 1
-    return Graph(n, tuple(adj))
+    pairs = ((i, j) for j in range(1, n) for i in range(j))
+    for pos, (i, j) in enumerate(pairs):
+        if key >> pos & 1:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+    return Graph._unchecked(n, tuple(adj))
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -107,42 +110,35 @@ def canonical_graph(g: Graph) -> Graph:
     return _graph_from_key(*canonical_key(g))
 
 
-def _grow(n: int, candidates: Callable[..., Iterable[tuple[int, ...]]]) -> list[Graph]:
-    """The classes on n vertices, grown from K_1 one vertex at a time.
-
-    ``candidates(adj, v)`` yields the adjacency of each extension of a
-    class with adjacency ``adj`` by a new vertex v; each is keyed once.
-    """
+def _grow(n: int, neighbour_sets: Callable[[int], Iterable[int]]) -> list[Graph]:
+    """The classes on n vertices, grown from K_1: a class on v vertices gains
+    a vertex v adjacent to each mask of ``neighbour_sets(v)``, each keyed once."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    layer = [Graph(1, (0,))]
-    for size in range(2, n + 1):
-        seen = {canonical_key(Graph(size, adj))
-                for h in layer for adj in candidates(h.adj, size - 1)}
+    layer = [Graph._unchecked(1, (0,))]
+    for new in range(1, n):
+        seen = set()
+        for h in layer:
+            for nbrs in neighbour_sets(new):
+                adj = (*(a | (nbrs >> v & 1) << new for v, a in enumerate(h.adj)), nbrs)
+                seen.add(canonical_key(Graph._unchecked(new + 1, adj)))
         layer = [_graph_from_key(*key) for key in sorted(seen)]
     return layer
 
 
 def all_graphs(n: int) -> list[Graph]:
-    """All graphs on n vertices up to isomorphism (canonical forms).
-
-    Augments each (n-1)-vertex class by every neighbor subset of a new
-    vertex and deduplicates canonically.
-    """
-    return _grow(n, lambda adj, new: (
-        (*(a | (nbrs >> v & 1) << new for v, a in enumerate(adj)), nbrs)
-        for nbrs in range(1 << new)))
+    """All graphs on n vertices up to isomorphism, grown by every neighbor subset."""
+    return _grow(n, lambda new: range(1 << new))
 
 
 def connected_graphs(n: int) -> list[Graph]:
-    """All connected graphs on n vertices up to isomorphism."""
-    return [g for g in all_graphs(n) if g.is_connected()]
+    """All connected graphs on n vertices, grown by non-empty neighbor subsets."""
+    return _grow(n, lambda new: range(1, 1 << new))
 
 
 def all_trees(n: int) -> list[Graph]:
-    """All trees on n vertices up to isomorphism, by leaf augmentation."""
-    return _grow(n, lambda adj, new: (
-        (*adj[:v], adj[v] | 1 << new, *adj[v + 1:], 1 << v) for v in range(new)))
+    """All trees on n vertices up to isomorphism, grown by single neighbors."""
+    return _grow(n, lambda new: (1 << v for v in range(new)))
 
 
 def _main(argv: list[str] | None = None) -> int:

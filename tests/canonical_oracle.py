@@ -1,14 +1,39 @@
 """Permutation-minimum canonical key, for use as a test oracle.
 
-It shares no search code with ``kforcing.smallgraphs.canonical_key``: it
-places every permutation inside each refined colour cell and keeps the
-least upper-triangle bitstring, which the package finds row by row.
+It shares no refinement or search code with
+``kforcing.smallgraphs.canonical_key``: it refines a colouring from
+degrees by sorted neighbour-colour tuples, where the package splits cell
+bitmasks by neighbour counts, then places every permutation inside each
+colour cell and keeps the least upper-triangle bitstring, which the
+package finds row by row.
 """
 
 from itertools import permutations
 
-from kforcing.graph import Graph
-from kforcing.smallgraphs import _refined_coloring
+from kforcing.graph import Graph, iter_bits, vertices_from
+
+
+def _refined_coloring(g: Graph) -> list[int]:
+    """Stable vertex coloring refined from degrees by neighbor multisets."""
+    colors = [g.degree(v) for v in range(g.n)]
+    while True:
+        sig = [
+            (colors[v], tuple(sorted(colors[u] for u in iter_bits(g.adj[v]))))
+            for v in range(g.n)
+        ]
+        rank = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [rank[sig[v]] for v in range(g.n)]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def ordered_cells(colors: list[int]) -> list[int]:
+    """The colour classes as vertex bitmasks, in ascending colour order."""
+    cells = {}
+    for v, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << v
+    return [cells[c] for c in sorted(cells)]
 
 
 def canonical_key_oracle(g: Graph) -> tuple[int, int]:
@@ -16,11 +41,7 @@ def canonical_key_oracle(g: Graph) -> tuple[int, int]:
     n = g.n
     if n <= 1:
         return n, 0
-    colors = _refined_coloring(g)
-    cells = {}
-    for v, c in enumerate(colors):
-        cells.setdefault(c, []).append(v)
-    ordered_cells = [cells[c] for c in sorted(cells)]
+    cells = [vertices_from(c) for c in ordered_cells(_refined_coloring(g))]
 
     # bit position of pair (i, j), i < j, in column-major upper-triangle order
     bitpos = {}
@@ -32,7 +53,7 @@ def canonical_key_oracle(g: Graph) -> tuple[int, int]:
 
     edges = list(g.edges())
     best = None
-    for parts in _cell_permutations(ordered_cells):
+    for parts in _cell_permutations(cells):
         place = [0] * n
         slot = 0
         for cell in parts:
@@ -50,7 +71,7 @@ def canonical_key_oracle(g: Graph) -> tuple[int, int]:
     return n, best
 
 
-def _cell_permutations(cells: list[list[int]]):
+def _cell_permutations(cells: list[tuple[int, ...]]):
     def rec(i: int, acc: list[tuple[int, ...]]):
         if i == len(cells):
             yield acc

@@ -69,6 +69,19 @@ def test_gen_bad_spec():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "cycle:x"], "cycle: expected an integer or a..b, got 'x'"),
+    (["gen", "cycle_tree:"], "cycle_tree: expected an integer or a..b, got ''"),
+    (["verify", "-i", str(DATA / "connected_4.g6"), "--k", "1..x"],
+     "--k: expected an integer or a..b, got '1..x'"),
+])
+def test_bad_number_names_its_family_or_flag(argv, message):
+    proc = run_cli(*argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
+
+
 def test_gen_unwritable_output_exits_2(tmp_path):
     proc = run_cli("gen", "cycle:3..6", "-o", str(tmp_path))  # a directory
     assert proc.returncode == 2

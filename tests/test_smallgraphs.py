@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 
@@ -15,7 +16,7 @@ from kforcing.smallgraphs import (
     connected_graphs,
 )
 
-from canonical_oracle import canonical_key_oracle
+from canonical_oracle import _refined_coloring, canonical_key_oracle, ordered_cells
 from conftest import DATA
 from random_graphs import random_graph
 
@@ -25,10 +26,17 @@ ALL_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
 TREE_COUNTS = {1: 1, 2: 1, 3: 1, 4: 2, 5: 3, 6: 6, 7: 11, 8: 23, 9: 47,
                10: 106, 11: 235, 12: 551}
+# SHA-256 of the graph6 file of connected_graphs(9), as written by the
+# enumerator that still filtered all_graphs(9) by connectivity (commit 2e4c97a)
+N9_SHA256 = "a36337be96de23e5674abd52209ef85c5cb23a83a39b869bd8a9d6259e2eeed7"
 
 extended = pytest.mark.skipif(
     os.environ.get("KFORCING_ACCEPT_N8") != "1",
     reason="set KFORCING_ACCEPT_N8=1 for the n = 8 and large-tree enumerations",
+)
+n9 = pytest.mark.skipif(
+    os.environ.get("KFORCING_ACCEPT_N9") != "1",
+    reason="set KFORCING_ACCEPT_N9=1 for the connected n = 9 enumeration (minutes)",
 )
 
 
@@ -48,6 +56,12 @@ def test_graph_counts():
 def test_connected_counts():
     for n, want in CONNECTED_COUNTS.items():
         assert len(connected_graphs(n)) == want
+
+
+def test_connected_growth_matches_filtered_all_graphs():
+    for n in range(1, 8):
+        want = [g.adj for g in all_graphs(n) if g.is_connected()]
+        assert [g.adj for g in connected_graphs(n)] == want, n
 
 
 def test_tree_counts():
@@ -113,6 +127,20 @@ def test_canonical_key_matches_permutation_oracle(monkeypatch):
         assert canonical_key(g) == canonical_key_oracle(g), g.adj
 
 
+def test_refined_cells_match_colour_refinement(monkeypatch):
+    rng = random.Random(31)
+    graphs = (
+        _augmentation_candidates(monkeypatch, all_graphs, 7)
+        + _augmentation_candidates(monkeypatch, all_trees, 10)
+        + [random_graph(rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]), rng)
+           for _ in range(300)]
+        + [_petersen(), _hypercube4()]
+    )
+    for g in {(g.n, g.adj): g for g in graphs}.values():
+        want = ordered_cells(_refined_coloring(g))
+        assert smallgraphs._refined_cells(g) == want, g.adj
+
+
 def _written(tmp_path, graphs):
     out = tmp_path / "out.g6"
     write_graph6_file(str(out), graphs)
@@ -127,6 +155,13 @@ def test_enumeration_reproduces_shipped_corpora(tmp_path):
 @extended
 def test_enumeration_reproduces_connected_8(tmp_path):
     assert _written(tmp_path, connected_graphs(8)) == (DATA / "connected_8.g6").read_bytes()
+
+
+@n9
+def test_connected_9_count_and_digest(tmp_path):
+    graphs = connected_graphs(9)
+    assert len(graphs) == 261080  # OEIS A001349
+    assert hashlib.sha256(_written(tmp_path, graphs)).hexdigest() == N9_SHA256
 
 
 @extended
