@@ -130,28 +130,34 @@ def _campaign(args: argparse.Namespace) -> CampaignConfig:
     return cfg
 
 
-def _load_graphs(cfg: CampaignConfig) -> list[tuple[str, int]]:
-    """Return (graph6, n) pairs from the configured source.
+def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
+    """Return (graph6, n, origin) triples from the configured source.
 
     graph6 lines are syntax-checked but not parsed; callers parse the
-    graphs they use.
+    graphs they use. Encoding is quadratic in n, so an edge-list or spec
+    graph over ``cfg.max_n`` is not encoded: its graph6 is None, and
+    ``origin`` names the file or spec it came from.
     """
-    graphs: list[tuple[str, int]] = []
+    graphs, built = [], []
     if cfg.input:
+        origin = f"input={cfg.input}"
         if cfg.format == "g6":
             with open(cfg.input, encoding="ascii") as fh:
-                graphs = [graph6_order(line) for line in fh if line.strip()]
+                graphs = [(*graph6_order(line), origin) for line in fh if line.strip()]
         elif cfg.format == "edges":
             with open(cfg.input, encoding="utf-8") as fh:
-                g = parse_edge_list(fh.read())
-            graphs.append((write_graph6(g), g.n))
+                built.append((parse_edge_list(fh.read()), origin))
         else:
             raise ValueError(f"unknown format {cfg.format!r}")
-    for spec in cfg.spec:
-        for fs in expand_family_spec(spec):
-            g = generate(fs)
-            graphs.append((write_graph6(g), g.n))
-    return graphs
+    built += [(generate(fs), f"spec={spec}")
+              for spec in cfg.spec for fs in expand_family_spec(spec)]
+    return graphs + [(write_graph6(g) if g.n <= cfg.max_n else None, g.n, origin)
+                     for g, origin in built]
+
+
+def _graph_name(g6: str | None, n: int, origin: str) -> str:
+    """A graph from :func:`_load_graphs` as messages name it."""
+    return f"graph6={g6}" if g6 is not None else f"n={n} {origin}"
 
 
 # -- family sweep grammar --------------------------------------------------
@@ -315,9 +321,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cfg.jobs < 1:
         raise ValueError(f"worker count must be positive, got {cfg.jobs}")
     graphs = _load_graphs(cfg)
-    for index, (g6, n) in enumerate(graphs):
-        if n == 0:
-            raise GraphError(f"graph {index} has no vertices: graph6={g6}")
+    for index, graph in enumerate(graphs):
+        if graph[1] == 0:
+            raise GraphError(f"graph {index} has no vertices: {_graph_name(*graph)}")
 
     indexed = list(enumerate(graphs))
     if cfg.sample is not None and cfg.sample < len(indexed):
@@ -325,9 +331,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         keep = sorted(rng.sample(range(len(indexed)), cfg.sample))
         indexed = [indexed[i] for i in keep]
 
-    skipped = [(i, g6) for i, (g6, n) in indexed if n > cfg.max_n]
+    skipped = [(i, graph) for i, graph in indexed if graph[1] > cfg.max_n]
     work = [(i, g6, ks, ids, cfg.max_n, bool(cfg.out_csv))
-            for i, (g6, n) in indexed if n <= cfg.max_n]
+            for i, (g6, n, _) in indexed if n <= cfg.max_n]
 
     checked = equal = not_applicable = 0
     violations: list[str] = []
@@ -352,8 +358,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if csv:
             _write_csv(csv, csv_rows)
 
-    for index, g6 in skipped:
-        print(f"skipped (n over scope cap {cfg.max_n}): index={index} graph6={g6}")
+    for index, graph in skipped:
+        print(f"skipped (n over scope cap {cfg.max_n}): index={index} "
+              f"{_graph_name(*graph)}")
     print(
         f"verify: checked={checked} satisfied={checked - len(violations)} "
         f"equality={equal} not_applicable={not_applicable} "
@@ -470,7 +477,7 @@ def search_equality(
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = _campaign(args)
-    graphs = _load_graphs(cfg)
+    graphs = [(g6, n) for g6, n, _ in _load_graphs(cfg)]
     with ExitStack() as stack:
         out = _open_output(stack, cfg.out_jsonl)
         result = search_equality(graphs, args.target, cfg.max_n)
@@ -589,18 +596,20 @@ _INVARIANTS = {
 
 def cmd_compute(args: argparse.Namespace) -> int:
     if args.graph6:
-        g = parse_graph6(args.graph6)
+        g6, n = graph6_order(args.graph6)
     elif args.input:
-        graphs = _load_graphs(CampaignConfig(input=args.input, format=args.format))
+        graphs = _load_graphs(CampaignConfig(input=args.input, format=args.format,
+                                             max_n=args.max_n))
         if not 0 <= args.index < len(graphs):
             raise GraphError(f"graph index {args.index} out of range")
-        g = parse_graph6(graphs[args.index][0])
+        g6, n, _ = graphs[args.index]
     else:
         raise GraphError("compute needs --graph6 or --input")
-    if g.n > args.max_n:
-        raise ExactScopeError(f"n={g.n} exceeds exact scope cap {args.max_n}")
+    if n > args.max_n:
+        raise ExactScopeError(f"n={n} exceeds exact scope cap {args.max_n}")
 
-    out = {"graph6": write_graph6(g), "n": g.n, "m": g.m}
+    g = parse_graph6(g6)
+    out = {"graph6": g6, "n": g.n, "m": g.m}
     out |= _INVARIANTS[args.invariant](g, args)
     if args.json:
         print(json.dumps(out))

@@ -4,7 +4,8 @@ Adjacency is stored as one int bitmask per vertex, so subset-heavy
 algorithms (forcing closures, domination solvers, subset enumeration)
 run on machine-word operations. Vertex sets travel through the whole
 package as plain int bitmasks; :func:`mask_from` / :func:`vertices_from`
-convert at the boundaries.
+convert at the boundaries. :func:`upper_triangle` packs a whole graph
+into one int, in the bit order that graph6 and canonical keys share.
 """
 
 from __future__ import annotations
@@ -27,12 +28,7 @@ def mask_from(vertices: Iterable[int]) -> int:
 
 def vertices_from(mask: int) -> tuple[int, ...]:
     """Unpack a bitmask into a sorted tuple of vertex indices."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return tuple(out)
+    return tuple(iter_bits(mask))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -105,8 +101,6 @@ class Graph:
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return Graph(n, tuple(adj))
@@ -189,12 +183,32 @@ class Graph:
         return self.component_of(start, mask) == mask
 
     def is_connected(self) -> bool:
-        if self.n == 0:
-            return False
         return self.is_connected_within(self.full_mask)
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected() and self.m == self.n - 1
+
+
+def upper_triangle(g: Graph) -> int:
+    """The pairs above the diagonal as one int: bit p is the p-th pair
+    (i, j), i < j, in column order (0,1), (0,2), (1,2), (0,3), ..., so
+    column j is the low j bits of ``adj[j]``."""
+    bits = 0
+    for j in range(g.n - 1, 0, -1):
+        bits = bits << j | g.adj[j] & (1 << j) - 1
+    return bits
+
+
+def from_upper_triangle(n: int, bits: int) -> Graph:
+    """The graph on n vertices whose :func:`upper_triangle` is ``bits``,
+    unchecked: one triangle's adjacency is symmetric and loop-free."""
+    adj = [0] * n
+    for j in range(1, n):
+        adj[j] = col = bits & (1 << j) - 1
+        bits >>= j
+        for i in iter_bits(col):
+            adj[i] |= 1 << j
+    return Graph._unchecked(n, tuple(adj))
 
 
 def disjoint_union(*graphs: Graph) -> Graph:

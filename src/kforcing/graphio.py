@@ -1,9 +1,9 @@
 """graph6 reading and writing, and the edge-list reader.
 
-graph6 packs the upper-triangle adjacency bits (column by column) into
-6-bit groups offset by 63, after a length header: a single byte for
-n <= 62, or '~' plus three bytes carrying 18 bits for larger n. The
-writer always emits the short form when it applies, so writing is
+graph6 packs the bits of :func:`kforcing.graph.upper_triangle`, pair 0
+first, into 6-bit groups offset by 63, after a length header: a single
+byte for n <= 62, or '~' plus three bytes carrying 18 bits for larger n.
+The writer always emits the short form when it applies, so writing is
 canonical and parse/write round-trip exactly.
 
 The edge-list format is line oriented: "u v" adds an edge, a bare "v"
@@ -16,9 +16,11 @@ import sys
 from contextlib import nullcontext
 from typing import Iterable
 
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, from_upper_triangle, upper_triangle
 
 _HEADER = ">>graph6<<"
+# a graph6 byte to its 6 adjacency bits, least significant first
+_REVERSED_BITS = {c + 63: f"{c:06b}"[::-1] for c in range(64)}
 
 
 class Graph6Error(GraphError):
@@ -66,15 +68,9 @@ def graph6_order(text: str) -> tuple[str, int]:
 def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line into a :class:`Graph`."""
     s, n = graph6_order(text)
-    # bits run over columns j = 1..n-1, rows i = 0..j-1
-    bits = iter("".join(f"{ord(c) - 63:06b}" for c in s[1 if n <= 62 else 4:]))
-    adj = [0] * n
-    for j in range(1, n):
-        for i in range(j):
-            if next(bits) == "1":
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
-    return Graph._unchecked(n, tuple(adj))
+    # the adjacency groups, last first, each bit-reversed: pair 0 lands lowest
+    body = s[::-1][:(n * (n - 1) // 2 + 5) // 6]
+    return from_upper_triangle(n, int("0" + body.translate(_REVERSED_BITS), 2))
 
 
 def write_graph6(g: Graph) -> str:
@@ -85,23 +81,10 @@ def write_graph6(g: Graph) -> str:
         head = [63, (g.n >> 12) & 63, (g.n >> 6) & 63, g.n & 63]
     else:
         raise Graph6Error(f"n={g.n} too large for the supported graph6 forms")
-
-    bits = []
-    for j in range(1, g.n):
-        col = g.adj[j]
-        for i in range(j):
-            bits.append((col >> i) & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    groups = [
-        (bits[i] << 5)
-        | (bits[i + 1] << 4)
-        | (bits[i + 2] << 3)
-        | (bits[i + 3] << 2)
-        | (bits[i + 4] << 1)
-        | bits[i + 5]
-        for i in range(0, len(bits), 6)
-    ]
+    nbits = g.n * (g.n - 1) // 2
+    # pair 0 first, zero-padded to whole 6-bit groups
+    bits = f"{upper_triangle(g):0{(nbits + 5) // 6 * 6}b}"[::-1]
+    groups = [int(bits[i:i + 6], 2) for i in range(0, nbits, 6)]
     return "".join(chr(x + 63) for x in head + groups)
 
 

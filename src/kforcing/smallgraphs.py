@@ -8,14 +8,14 @@ the cells of the refined degree partition (McKay and Piperno, "Practical
 graph isomorphism, II", 2014), kept as bitmasks: from the degree classes,
 ascending, each round splits every cell by its vertices' neighbour
 counts in the previous round's cells, larger counts in earlier cells
-first, until none splits. The canonical form is the least upper-triangle
-adjacency bitstring over every vertex order that lists these cells in
-order, so it is exact.
+first, until none splits. The canonical key is the least
+:func:`~kforcing.graph.upper_triangle` over every vertex order that lists
+these cells in order, so it is exact.
 
 It is found row by row rather than by trying every order. Read from its
-most significant bit, with positions counted from the last slot, the
-bitstring is row 0, row 1, ..., where row r marks which later positions
-hold neighbours of the vertex at position r. Row r depends only on that
+most significant bit, with positions counted from the last slot, that
+int is row 0, row 1, ..., where row r marks which later positions hold
+neighbours of the vertex at position r. Row r depends only on that
 vertex and on the ordered cells still to fill, and it is least exactly
 when every cell lists the vertex's non-neighbours before its neighbours.
 So each level tries every vertex of the first cell, keeps those with the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable
 
-from .graph import Graph
+from .graph import Graph, from_upper_triangle
 
 
 def _refined_cells(g: Graph) -> list[int]:
@@ -62,7 +62,7 @@ def _refined_cells(g: Graph) -> list[int]:
 
 
 def canonical_key(g: Graph) -> tuple[int, int]:
-    """(n, minimal adjacency bitstring) identifying the isomorphism class."""
+    """(n, least upper_triangle) identifying the isomorphism class."""
     n, adj = g.n, g.adj
     # Cells run in reverse, as positions count from the last slot. A state,
     # the ordered cells still to fill, fixes every later row: equal ones merge.
@@ -94,20 +94,9 @@ def canonical_key(g: Graph) -> tuple[int, int]:
     return n, key
 
 
-def _graph_from_key(n: int, key: int) -> Graph:
-    """The graph whose upper-triangle bitstring is ``key``."""
-    adj = [0] * n
-    pairs = ((i, j) for j in range(1, n) for i in range(j))
-    for pos, (i, j) in enumerate(pairs):
-        if key >> pos & 1:
-            adj[i] |= 1 << j
-            adj[j] |= 1 << i
-    return Graph._unchecked(n, tuple(adj))
-
-
 def canonical_graph(g: Graph) -> Graph:
     """The canonical representative of g's isomorphism class."""
-    return _graph_from_key(*canonical_key(g))
+    return from_upper_triangle(*canonical_key(g))
 
 
 def _grow(n: int, neighbour_sets: Callable[[int], Iterable[int]]) -> list[Graph]:
@@ -122,7 +111,7 @@ def _grow(n: int, neighbour_sets: Callable[[int], Iterable[int]]) -> list[Graph]
             for nbrs in neighbour_sets(new):
                 adj = (*(a | (nbrs >> v & 1) << new for v, a in enumerate(h.adj)), nbrs)
                 seen.add(canonical_key(Graph._unchecked(new + 1, adj)))
-        layer = [_graph_from_key(*key) for key in sorted(seen)]
+        layer = [from_upper_triangle(*key) for key in sorted(seen)]
     return layer
 
 

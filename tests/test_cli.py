@@ -181,6 +181,40 @@ def test_verify_scope_skip(tmp_path):
     assert "skipped=1" in proc.stdout and "skipped (n over scope cap" in proc.stdout
 
 
+def test_over_cap_graphs_are_never_encoded(tmp_path, monkeypatch, capsys):
+    from kforcing import cli
+
+    encode = cli.write_graph6
+
+    def write_within_cap(g):
+        assert g.n <= 12, f"encoded a graph with n={g.n}"
+        return encode(g)
+
+    monkeypatch.setattr(cli, "write_graph6", write_within_cap)
+    edges = tmp_path / "e.txt"
+    edges.write_text("0 12\n")
+    assert main(["compute", "-i", str(edges), "--format", "edges",
+                 "--invariant", "profile"]) == 3
+    assert "n=13 exceeds exact scope cap 12" in capsys.readouterr().err
+    spec = ["--spec", "cycle:13", "--spec", "cycle:5", "--max-n", "12"]
+    assert main(["verify", *spec]) == 0
+    out = capsys.readouterr().out
+    assert "skipped (n over scope cap 12): index=0 n=13 spec=cycle:13\n" in out
+    assert "skipped=1" in out
+    assert main(["search", "--target", "cor3", *spec]) == 0
+    assert "skipped=1" in capsys.readouterr().out
+    assert main(["verify", "-i", str(edges), "--format", "edges"]) == 0
+    assert f"index=0 n=13 input={edges}\n" in capsys.readouterr().out
+
+
+def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
+    src = tmp_path / "mix.g6"
+    src.write_text("Dhc\nHhCGGE@\n")  # C_5, then C_9
+    assert main(["verify", "-i", str(src), "--max-n", "6"]) == 0
+    assert capsys.readouterr().out.startswith(
+        "skipped (n over scope cap 6): index=1 graph6=HhCGGE@\n")
+
+
 @pytest.mark.parametrize("g6_lines, args", [
     ("?\n", []),  # the empty graph
     ("Dhc\n?\n", ["--jobs", "2"]),

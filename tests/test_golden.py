@@ -7,9 +7,12 @@ digest only when a change of output is intended and documented. The
 compute, search and gen digests were recorded before the CLI moved to
 table-driven dispatch and streamed ``verify`` output, and the
 ``connected_6`` digests before workers encoded their own JSONL.
+Set KFORCING_ACCEPT_N8=1 to also check ``verify`` over all of
+``connected_8``.
 """
 
 import hashlib
+import os
 
 import pytest
 
@@ -67,6 +70,40 @@ def test_verify_connected_6_digest(jobs, tmp_path, capsys):
     assert code == 0
     assert (sha256(jsonl.read_bytes()), sha256(csv.read_bytes()),
             sha256(out.encode())) == CONNECTED_6_DIGESTS
+
+
+# JSONL and CSV of verify over all of connected_8, and its summary line,
+# recorded at commit 68524b8; the JSONL is 227 MB, so the check is opt-in
+CONNECTED_8_DIGESTS = (
+    "af14e54ec2c7de09fcb11dea039c09ce99185fbb350038b3f431654dbf642866",
+    "5f230e1002e6d30462887c91eb0cf7d03a4e607da499f9f8f65fb1f0093ce7a3",
+)
+CONNECTED_8_SUMMARY = (
+    "verify: checked=319169 satisfied=319169 equality=29356 "
+    "not_applicable=747084 violations=0 skipped=0\n"
+)
+
+
+def file_sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    path.unlink()
+    return digest.hexdigest()
+
+
+@pytest.mark.skipif(os.environ.get("KFORCING_ACCEPT_N8") != "1",
+                    reason="set KFORCING_ACCEPT_N8=1 to verify all of connected_8")
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_verify_connected_8_digest(jobs, tmp_path, capsys):
+    jsonl, csv = tmp_path / "out.jsonl", tmp_path / "out.csv"
+    code = main(["verify", "-i", str(DATA / "connected_8.g6"), "--jobs", jobs,
+                 "--out-jsonl", str(jsonl), "--out-csv", str(csv)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert (file_sha256(jsonl), file_sha256(csv)) == CONNECTED_8_DIGESTS
+    assert out == CONNECTED_8_SUMMARY
 
 
 RECORD_DIGESTS = {

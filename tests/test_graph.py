@@ -9,10 +9,15 @@ from kforcing import (
     degree_profile,
     disjoint_union,
     mask_from,
+    parse_graph6,
     subsets_of_size,
     vertices_from,
 )
 from kforcing.families import complete, cycle, path, star
+from kforcing.graph import from_upper_triangle, upper_triangle
+from kforcing.smallgraphs import canonical_graph, canonical_key
+
+from conftest import DATA
 
 
 def test_from_edges_basic():
@@ -153,3 +158,40 @@ def test_disjoint_union_shifts_indices():
     g = disjoint_union(path(2), cycle(3))
     assert g.n == 5 and g.m == 4
     assert g.has_edge(0, 1) and g.has_edge(2, 3) and not g.has_edge(1, 2)
+
+
+# -- the upper-triangle order shared by graph6 and canonical keys ---------
+
+# (i, j), i < j, column by column, written out independently of the package
+PAIRS = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3), (0, 4), (1, 4), (2, 4),
+         (3, 4)] + [(i, j) for j in range(5, 10) for i in range(j)]
+
+
+def test_upper_triangle_sets_bit_p_for_the_pth_pair(connected_by_n, trees_by_n):
+    graphs = [g for n in range(1, 8) for g in connected_by_n[n]] + [
+        t for n in range(1, 11) for t in trees_by_n[n]]
+    for g in graphs:
+        edges = set(g.edges())
+        want = sum(1 << p for p, pair in enumerate(PAIRS) if pair in edges)
+        assert upper_triangle(g) == want
+        assert canonical_key(g) == (g.n, upper_triangle(canonical_graph(g)))
+
+
+def test_from_upper_triangle_round_trips_every_corpus_graph():
+    count = 0
+    for path_ in sorted(DATA.glob("*.g6")):
+        for line in path_.read_text().split():
+            g = parse_graph6(line)
+            h = from_upper_triangle(g.n, upper_triangle(g))
+            assert h == g and Graph(h.n, h.adj) == h
+            count += 1
+    assert count == 12314
+
+
+def test_upper_triangle_of_the_smallest_graphs():
+    for n in (0, 1):
+        assert upper_triangle(Graph(n, (0,) * n)) == 0
+        assert from_upper_triangle(n, 0) == Graph(n, (0,) * n)
+    assert upper_triangle(complete(4)) == 0b111111
+    star_at_2 = Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])
+    assert from_upper_triangle(4, 0b100110) == star_at_2

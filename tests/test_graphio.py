@@ -90,6 +90,24 @@ def test_long_form_for_63_vertices():
     assert h.n == 63 and h.adj == g.adj
 
 
+def test_writer_rejects_an_oversized_n_before_encoding(monkeypatch):
+    import kforcing.graphio as graphio
+
+    def encode(g):
+        raise AssertionError("encoded before the range check")
+
+    monkeypatch.setattr(graphio, "upper_triangle", encode)
+    with pytest.raises(Graph6Error):
+        write_graph6(Graph._unchecked(258048, (0,) * 258048))
+
+
+def test_long_form_header_with_three_nonzero_bytes():
+    n = 4161  # 1 << 12 | 1 << 6 | 1: the header bytes are "@@@"
+    s = "~@@@" + "?" * ((n * (n - 1) // 2 + 5) // 6)
+    assert graph6_order(s) == (s, n)
+    assert write_graph6(Graph._unchecked(n, (0,) * n)) == s
+
+
 MALFORMED_G6 = (
     "",
     "D\x1f?",  # character below 63

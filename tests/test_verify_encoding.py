@@ -77,7 +77,7 @@ def test_block_matches_oracle_on_family_sweep(monkeypatch):
     detailed = set()
     specs = ["cycle_tree:3..4,3..4", "circulant:8:1,2..3", "complete:2..6",
              "cycle:3..8", "subdivided_star:3:2"]
-    for index, (g6, n) in enumerate(cli._load_graphs(cli.CampaignConfig(spec=specs))):
+    for index, (g6, n, _) in enumerate(cli._load_graphs(cli.CampaignConfig(spec=specs))):
         result, reports = verify_with_reports(monkeypatch, index, g6)
         assert_block_matches_oracle(result, reports, g6, n)
         detailed |= {rep.bound for rep in reports if rep.detail}
