@@ -12,7 +12,6 @@ import json
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
@@ -343,6 +342,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         csv = _open_output(stack, cfg.out_csv, newline="")
         results = map(_verify_one, work)
         if cfg.jobs > 1 and len(work) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
             results = pool.map(_verify_one, work, chunksize=8)
         # both maps yield in input order: write each graph's block as it lands

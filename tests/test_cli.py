@@ -549,16 +549,16 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
 
     # in process: the pool really gets the worker count from the environment,
     # and an explicit --jobs overrides it
-    import kforcing.cli as cli
+    import concurrent.futures
 
     pools = []
 
-    class RecordingPool(cli.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, *args, **kwargs):
             pools.append(max_workers)
             super().__init__(max_workers, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("KFORCING_JOBS", "2")
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--out-jsonl", str(tmp_path / "env.jsonl")]) == 0
@@ -568,3 +568,13 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--jobs", "1", "--out-jsonl", str(tmp_path / "one.jsonl")]) == 0
     assert pools == []
+
+
+def test_import_loads_no_process_pool():
+    # only verify --jobs > 1 imports the pool, so serial commands start faster
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, kforcing.cli; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True,
+    )
+    assert proc.stdout == "False\n", proc.stderr

@@ -6,7 +6,7 @@ import pytest
 
 import kforcing.smallgraphs as smallgraphs
 from kforcing.families import circulant, cycle
-from kforcing.graph import Graph
+from kforcing.graph import Graph, iter_bits
 from kforcing.graphio import write_graph6_file
 from kforcing.smallgraphs import (
     all_graphs,
@@ -18,6 +18,7 @@ from kforcing.smallgraphs import (
 
 from canonical_oracle import _refined_coloring, canonical_key_oracle, ordered_cells
 from conftest import DATA
+from growth_oracle import unpruned_growth
 from random_graphs import random_graph
 
 # Published counts of isomorphism classes: all graphs (OEIS A000088),
@@ -99,26 +100,16 @@ def test_canonical_key_is_relabeling_invariant():
             assert canonical_key(_relabel(g, perm)) == key
 
 
-def _augmentation_candidates(monkeypatch, enumerate_graphs, n):
-    """Every graph the enumerator keys on its way to n vertices."""
-    seen = []
-    key = smallgraphs.canonical_key
-
-    def record(g):
-        seen.append(g)
-        return key(g)
-
-    monkeypatch.setattr(smallgraphs, "canonical_key", record)
-    enumerate_graphs(n)
-    monkeypatch.undo()
-    return seen
+def _augmentation_candidates(family, n):
+    """Every augmentation of every class on fewer than n vertices."""
+    return list(unpruned_growth(family, n)[1])
 
 
-def test_canonical_key_matches_permutation_oracle(monkeypatch):
+def test_canonical_key_matches_permutation_oracle():
     rng = random.Random(29)
     graphs = (
-        _augmentation_candidates(monkeypatch, all_graphs, 7)
-        + _augmentation_candidates(monkeypatch, all_trees, 9)
+        _augmentation_candidates("all", 7)
+        + _augmentation_candidates("trees", 9)
         + [random_graph(rng.randint(1, 8), rng.choice([0.2, 0.5, 0.8]), rng)
            for _ in range(300)]
     )
@@ -127,11 +118,11 @@ def test_canonical_key_matches_permutation_oracle(monkeypatch):
         assert canonical_key(g) == canonical_key_oracle(g), g.adj
 
 
-def test_refined_cells_match_colour_refinement(monkeypatch):
+def test_refined_cells_match_colour_refinement():
     rng = random.Random(31)
     graphs = (
-        _augmentation_candidates(monkeypatch, all_graphs, 7)
-        + _augmentation_candidates(monkeypatch, all_trees, 10)
+        _augmentation_candidates("all", 7)
+        + _augmentation_candidates("trees", 10)
         + [random_graph(rng.randint(1, 10), rng.choice([0.2, 0.5, 0.8]), rng)
            for _ in range(300)]
         + [_petersen(), _hypercube4()]
@@ -139,6 +130,87 @@ def test_refined_cells_match_colour_refinement(monkeypatch):
     for g in {(g.n, g.adj): g for g in graphs}.values():
         want = ordered_cells(_refined_coloring(g))
         assert smallgraphs._refined_cells(g) == want, g.adj
+
+
+def test_pruned_growth_matches_unpruned_oracle():
+    for family, enumerate_graphs, top in [("all", all_graphs, 7),
+                                          ("connected", connected_graphs, 7),
+                                          ("trees", all_trees, 11)]:
+        layers, _ = unpruned_growth(family, top)
+        for n, layer in enumerate(layers, start=1):
+            assert [g.adj for g in enumerate_graphs(n)] == [g.adj for g in layer], (family, n)
+
+
+def test_growth_reaches_a_class_whose_least_score_vertex_is_a_cut_vertex():
+    # two K4s joined through vertex 8, whose score (2, 8) is the least but
+    # whose deletion disconnects the graph; 7 has the least eligible score
+    k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
+    g = Graph.from_edges(9, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 8), (4, 8)])
+    h = g.delete_vertex(7)
+    grown = set()
+    for nbrs in smallgraphs._kept_neighbour_sets(h, range(1, 1 << 8), connected=True):
+        adj = (*(a | (nbrs >> v & 1) << 8 for v, a in enumerate(h.adj)), nbrs)
+        grown.add(canonical_key(Graph(9, adj)))
+    assert canonical_key(g) in grown
+
+
+def test_connected_7_keys_few_candidates(monkeypatch):
+    calls = []
+    key = smallgraphs.canonical_key
+    monkeypatch.setattr(smallgraphs, "canonical_key", lambda g: calls.append(g) or key(g))
+    assert len(connected_graphs(7)) == 853
+    assert len(calls) <= 2000  # every non-empty neighbour set would be 7,815
+
+
+def _swap(g, u, v):
+    perm = list(range(g.n))
+    perm[u], perm[v] = v, u
+    return _relabel(g, perm)
+
+
+# (graph, its twin classes): K4, the star K_{1,3}, C4, P4, and a vertex 0
+# with two pendant leaves 1, 2 (open twins) and a triangle 0, 3, 4 (3 and 4
+# closed twins)
+TWIN_CASES = [
+    (Graph.from_edges(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]), [0b1111]),
+    (Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)]), [0b1110]),
+    (cycle(4), [0b0101, 0b1010]),
+    (Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)]), []),
+    (Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (0, 4), (3, 4)]), [0b00110, 0b11000]),
+]
+
+
+@pytest.mark.parametrize("g, want", TWIN_CASES)
+def test_twin_swaps_are_automorphisms(g, want):
+    classes = smallgraphs._twin_classes(g)
+    assert sorted(classes) == sorted(want)
+    for c in classes:
+        members = list(iter_bits(c))
+        for i, u in enumerate(members):
+            for v in members[i + 1:]:
+                assert _swap(g, u, v).adj == g.adj, (u, v)
+
+
+@pytest.mark.parametrize("g", [g for g, _ in TWIN_CASES])
+def test_twin_order_keeps_one_set_per_orbit(g):
+    classes = smallgraphs._twin_classes(g)
+    swaps = [(u, v) for c in classes for u in iter_bits(c) for v in iter_bits(c) if u < v]
+
+    def swapped(mask, u, v):
+        if (mask >> u ^ mask >> v) & 1:
+            mask ^= 1 << u | 1 << v
+        return mask
+
+    unplaced = set(range(1 << g.n))
+    while unplaced:
+        orbit, todo = set(), [unplaced.pop()]
+        while todo:
+            mask = todo.pop()
+            orbit.add(mask)
+            todo += [m for u, v in swaps if (m := swapped(mask, u, v)) not in orbit]
+        unplaced -= orbit
+        kept = [m for m in orbit if smallgraphs._keeps_twin_order(m, classes)]
+        assert len(kept) == 1, sorted(orbit)
 
 
 def _written(tmp_path, graphs):
