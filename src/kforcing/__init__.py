@@ -15,8 +15,10 @@ from .forcing import (
     NotKConnectedError,
     check_spread,
     greedy_k_forcing_upper,
+    is_k_forcing_number,
     is_k_forcing_set,
     k_forcing_number,
+    k_forcing_sets,
     min_forcing_connected_complement,
 )
 from .graph import (
@@ -80,9 +82,11 @@ __all__ = [
     "greedy_k_forcing_upper",
     "hamiltonian_cycle",
     "is_cycle_tree",
+    "is_k_forcing_number",
     "is_k_forcing_set",
     "iter_bits",
     "k_forcing_number",
+    "k_forcing_sets",
     "k_independence_number",
     "mask_from",
     "max_leaf_spanning_tree",

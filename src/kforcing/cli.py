@@ -30,6 +30,7 @@ from .families import (
 from .forcing import (
     check_spread,
     greedy_k_forcing_upper,
+    is_k_forcing_number,
     k_forcing_number,
     min_forcing_connected_complement,
 )
@@ -431,7 +432,10 @@ def search_equality(
 
     ``graphs`` holds (graph6, n) pairs; each graph in scope is parsed
     from its graph6 string, so every reported string is the graph that
-    was checked.
+    was checked. Every target's exact side is F_1, so an integral bound
+    b is met iff :func:`is_k_forcing_number` finds F_1 = b by two level
+    scans; an achiever's ``f1`` then comes from the exact solver, which
+    checks the equality a second time by another route.
     """
     if target not in _SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
@@ -450,16 +454,20 @@ def search_equality(
         rec = compute_record(g, max_n)
         if not entry.gate(rec, 1):
             continue
-        value = check.value(rec, 1)  # a non-integral bound needs no exact value
-        if value.denominator != 1 or value != check.exact(rec, 1):
+        value = check.value(rec, 1)  # a non-integral bound needs no scan
+        if value.denominator != 1 or not is_k_forcing_number(g, 1, int(value)):
             continue
+        f1 = rec.forcing[1]
+        if f1 != value:
+            raise RuntimeError(f"level scans found F_1 = {value} but the "
+                               f"exact solver {f1}, graph6={g6}")
         achievers.append(
             {
                 "index": index,
                 "graph6": g6,
                 "n": n,
                 "max_degree": rec.max_degree,
-                "f1": rec.forcing[1],
+                "f1": f1,
                 "bound_value": str(value),
                 "classification": _classify_achiever(g),
             }

@@ -13,6 +13,7 @@ simultaneously) to their fixpoint, which is scheduler-independent;
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .graph import Graph, GraphError, components, subsets_of_size
 
@@ -53,35 +54,70 @@ def is_k_forcing_set(g: Graph, s: int, k: int) -> bool:
     return _fixpoint(g.adj, s, k) == full
 
 
+def k_forcing_sets(g: Graph, k: int, c: int) -> Iterator[int]:
+    """The k-forcing c-subsets of ``g`` as bitmasks, in colex order.
+
+    Each c-subset comes from :func:`subsets_of_size` and is tested by
+    :func:`is_k_forcing_set` only when the iterator reaches it, so a
+    caller that stops at the first set tests no more than it needs.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if c < 0:
+        raise ValueError(f"subset size must be non-negative, got {c}")
+    return (mask for mask in subsets_of_size(g.n, c)
+            if is_k_forcing_set(g, mask, k))
+
+
 def k_forcing_number(
     g: Graph, k: int, collect_all_minimum: bool = False
 ) -> KForcingResult:
     """Exact k-forcing number with a minimum witness.
 
-    Candidate cardinalities increase from the component count, since
-    every component needs a vertex of its own; within a cardinality,
-    subsets are tried in colex order and the first success is the
-    witness. No other lower bound is assumed, so the bounds checked
+    Levels of :func:`k_forcing_sets` are scanned by increasing size from
+    the component count, since every component needs a vertex of its
+    own; the witness is the colex-first set of the lowest non-empty
+    level. No other lower bound is assumed, so the bounds checked
     against this value (the minimum-degree one among them) can fail.
-    With ``collect_all_minimum`` the scan of the winning cardinality is
-    completed to gather every minimum k-forcing set.
+    With ``collect_all_minimum`` that whole level is gathered as
+    ``all_minimum``, every minimum k-forcing set in colex order.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if g.n < 1:
         raise GraphError("k-forcing number undefined for the empty graph")
     for c in range(len(components(g)), g.n + 1):
-        found: list[int] = []
-        for mask in subsets_of_size(g.n, c):
-            if is_k_forcing_set(g, mask, k):
-                if not collect_all_minimum:
-                    return KForcingResult(k=k, value=c, witness=mask)
-                found.append(mask)
-        if found:
-            return KForcingResult(
-                k=k, value=c, witness=found[0], all_minimum=tuple(found)
-            )
+        level = k_forcing_sets(g, k, c)
+        if collect_all_minimum:
+            found = tuple(level)
+            if found:
+                return KForcingResult(
+                    k=k, value=c, witness=found[0], all_minimum=found
+                )
+        elif (witness := next(level, None)) is not None:
+            return KForcingResult(k=k, value=c, witness=witness)
     raise AssertionError("unreachable: the full vertex set always forces")
+
+
+def is_k_forcing_number(g: Graph, k: int, value: int) -> bool:
+    """True iff F_k(g) == ``value``, decided by two level scans.
+
+    No (value - 1)-set may force and some value-set must, both found
+    by :func:`k_forcing_sets`. This rests on one fact only: a superset
+    of a k-forcing set is a k-forcing set, since the closure grows with
+    its initial set; so any forcing set smaller than value - 1 would
+    leave one of size value - 1. No bound from ``bounds.BOUNDS`` is
+    assumed. A non-empty graph's F_k lies in 1..n, so other values are
+    rejected without a scan.
+    """
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    if g.n < 1:
+        raise GraphError("k-forcing number undefined for the empty graph")
+    if not 1 <= value <= g.n:
+        return False
+    return (next(k_forcing_sets(g, k, value - 1), None) is None
+            and next(k_forcing_sets(g, k, value), None) is not None)
 
 
 def greedy_k_forcing_upper(g: Graph, k: int) -> tuple[int, int]:

@@ -79,3 +79,12 @@ def forcing_number_oracle(g: Graph, k: int) -> tuple[int, int]:
         if mask.bit_count() < best and closure_async(g, mask, k) == g.full_mask:
             best, witness = mask.bit_count(), mask
     return best, witness
+
+
+def forcing_sets_oracle(g: Graph, k: int, c: int) -> list[int]:
+    """Every k-forcing c-subset, scanning every mask in ascending order."""
+    return [
+        mask
+        for mask in range(1 << g.n)
+        if mask.bit_count() == c and closure_async(g, mask, k) == g.full_mask
+    ]

@@ -463,6 +463,33 @@ def test_search_skips_forcing_when_the_bound_is_not_integral(monkeypatch):
     assert [a["classification"] for a in result.achievers] == ["cycle"]
 
 
+def test_search_runs_the_exact_solver_only_on_achievers(monkeypatch):
+    from kforcing import Graph, records
+    from kforcing.cli import search_equality
+
+    solved = []
+    solve = records.k_forcing_number
+    monkeypatch.setattr(records, "k_forcing_number",
+                        lambda g, k: solved.append(g.n) or solve(g, k))
+    spider = Graph.from_edges(5, [(0, 1), (0, 2), (0, 3), (3, 4)])  # COR3 = 7/2
+    # K_{1,3}: COR3 = 3 is an integer, but F_1 = 2, so it is no achiever
+    corpus = [(write_graph6(g), g.n)
+              for g in (cycle(6), complete_bipartite(1, 3), spider)]
+    result = search_equality(corpus, "cor3")
+    assert solved == [6]
+    assert [(a["classification"], a["f1"]) for a in result.achievers] == [("cycle", 2)]
+
+
+def test_every_search_target_decides_f1():
+    # search decides equality with F_1 level scans, so a target whose
+    # exact side is another invariant must not slip in unnoticed
+    from kforcing import bounds
+    from kforcing.cli import _SEARCH_TARGETS
+
+    for bound_id, _ in _SEARCH_TARGETS.values():
+        assert [c.exact for c in bounds.BOUNDS[bound_id].checks] == [bounds._f_1]
+
+
 def test_verify_without_csv_runs_no_solver_for_the_row(monkeypatch, capsys):
     from kforcing import records
 

@@ -11,8 +11,10 @@ from kforcing import (
     degree_profile,
     disjoint_union,
     greedy_k_forcing_upper,
+    is_k_forcing_number,
     is_k_forcing_set,
     k_forcing_number,
+    k_forcing_sets,
     mask_from,
     min_forcing_connected_complement,
     vertices_from,
@@ -20,7 +22,12 @@ from kforcing import (
 from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
 
-from forcing_oracle import closure, closure_async, forcing_number_oracle
+from forcing_oracle import (
+    closure,
+    closure_async,
+    forcing_number_oracle,
+    forcing_sets_oracle,
+)
 from random_graphs import random_graph
 
 
@@ -192,6 +199,40 @@ def test_collect_all_minimum():
     assert res.witness == res.all_minimum[0]
     for m in res.all_minimum:
         assert is_k_forcing_set(cycle(4), m, 1)
+
+
+def test_k_forcing_sets_match_oracle(connected_upto_6):
+    for g in connected_upto_6:
+        for k in range(1, degree_profile(g)[0] + 2):
+            for c in range(g.n + 1):
+                assert list(k_forcing_sets(g, k, c)) == forcing_sets_oracle(g, k, c)
+
+
+def test_is_k_forcing_number_agrees_with_the_exact_value(connected_upto_6):
+    for g in connected_upto_6:
+        for k in range(1, degree_profile(g)[0] + 2):
+            value = k_forcing_number(g, k).value
+            for v in range(-1, g.n + 2):
+                assert is_k_forcing_number(g, k, v) == (value == v)
+
+
+def test_is_k_forcing_number_edge_cases():
+    g = disjoint_union(complete(4), cycle(5), path(3))  # F_1 = 3 + 2 + 1
+    assert is_k_forcing_number(g, 1, 6)
+    for v in (-3, 0, 1, 2, g.n + 1, g.n + 5):  # 1 and 2 are below 3 components
+        assert not is_k_forcing_number(g, 1, v)
+    for k in (0, -1):
+        with pytest.raises(ValueError):
+            is_k_forcing_number(cycle(4), k, 2)
+        with pytest.raises(ValueError):
+            k_forcing_sets(cycle(4), k, 2)
+    with pytest.raises(ValueError):
+        k_forcing_sets(cycle(4), 1, -1)
+    empty = Graph.from_edges(0, [])
+    with pytest.raises(GraphError):
+        k_forcing_number(empty, 1)
+    with pytest.raises(GraphError):
+        is_k_forcing_number(empty, 1, 0)
 
 
 def test_monotonicity_in_k(connected_upto_6):
