@@ -12,14 +12,10 @@ from .bounds import (
 from .families import FAMILIES, FamilySpec, generate
 from .forcing import (
     KForcingResult,
-    NotKConnectedError,
-    check_spread,
-    greedy_k_forcing_upper,
     is_k_forcing_number,
     is_k_forcing_set,
     k_forcing_number,
     k_forcing_sets,
-    min_forcing_connected_complement,
 )
 from .graph import (
     Graph,
@@ -45,7 +41,6 @@ from .invariants import (
     hamiltonian_cycle,
     is_cycle_tree,
     k_independence_number,
-    max_leaf_spanning_tree,
     min_star_free_index,
     path_cover_number,
     vertex_connectivity,
@@ -68,9 +63,7 @@ __all__ = [
     "GraphError",
     "InvariantRecord",
     "KForcingResult",
-    "NotKConnectedError",
     "bound_value",
-    "check_spread",
     "components",
     "compute_record",
     "connected_k_domination",
@@ -79,7 +72,6 @@ __all__ = [
     "evaluate_bounds",
     "generate",
     "graph6_order",
-    "greedy_k_forcing_upper",
     "hamiltonian_cycle",
     "is_cycle_tree",
     "is_k_forcing_number",
@@ -89,8 +81,6 @@ __all__ = [
     "k_forcing_sets",
     "k_independence_number",
     "mask_from",
-    "max_leaf_spanning_tree",
-    "min_forcing_connected_complement",
     "min_star_free_index",
     "parse_edge_list",
     "parse_graph6",

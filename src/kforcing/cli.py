@@ -27,13 +27,7 @@ from .families import (
     is_complete_graph,
     is_cycle_graph,
 )
-from .forcing import (
-    check_spread,
-    greedy_k_forcing_upper,
-    is_k_forcing_number,
-    k_forcing_number,
-    min_forcing_connected_complement,
-)
+from .forcing import is_k_forcing_number, k_forcing_number
 from .graph import Graph, GraphError, degree_profile, vertices_from
 from .graphio import (
     graph6_order,
@@ -48,7 +42,6 @@ from .invariants import (
     hamiltonian_cycle,
     is_cycle_tree,
     k_independence_number,
-    max_leaf_spanning_tree,
     min_star_free_index,
     path_cover_number,
 )
@@ -530,11 +523,6 @@ def _connected_domination(g: Graph, k: int) -> dict:
     return {"k": k, "value": None} if res is None else _value_witness(k, *res)
 
 
-def _forcing_cc(g: Graph, args: argparse.Namespace) -> dict:
-    witness, value = min_forcing_connected_complement(g, args.k)
-    return _value_witness(args.k, value, witness)
-
-
 def _path_cover(g: Graph, args: argparse.Namespace) -> dict:
     value, parts = path_cover_number(g)
     return {"value": value, "parts": [_fmt_mask(p) for p in parts]}
@@ -587,17 +575,13 @@ def _record(g: Graph, args: argparse.Namespace) -> dict:
 # called through its module-level name, so a rebound name takes effect.
 _INVARIANTS = {
     "forcing": _forcing,
-    "greedy-forcing": lambda g, a: _value_witness(a.k, *greedy_k_forcing_upper(g, a.k)),
     "gamma-c": lambda g, a: _connected_domination(g, 1),
     "gamma-kc": lambda g, a: _connected_domination(g, a.k),
     "alpha": lambda g, a: _value_witness(a.k, *k_independence_number(g, a.k)),
     "path-cover": _path_cover,
-    "max-leaf": lambda g, a: {"value": max_leaf_spanning_tree(g)},
     "hamiltonian": _hamiltonian,
     "cycle-tree": lambda g, a: dict(zip(("value", "cycles"), is_cycle_tree(g))),
     "star-free": lambda g, a: {"value": min_star_free_index(g)},
-    "spread": lambda g, a: {"k": a.k, "value": check_spread(g, a.k)},
-    "forcing-cc": _forcing_cc,
     "profile": _profile,
     "record": _record,
 }
@@ -614,6 +598,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
         g6, n, _ = graphs[args.index]
     else:
         raise GraphError("compute needs --graph6 or --input")
+    if n == 0:
+        raise GraphError("graph has no vertices")
     if n > args.max_n:
         raise ExactScopeError(f"n={n} exceeds exact scope cap {args.max_n}")
 

@@ -8,6 +8,9 @@ is the smallest size of one.
 Closures here run in synchronous rounds (every eligible forcer fires
 simultaneously) to their fixpoint, which is scheduler-independent;
 :func:`_fixpoint` keeps no trace of the rounds.
+
+Only what the bounds and ``search`` read lives here: F_k and the level
+scans that decide F_k = v.
 """
 
 from __future__ import annotations
@@ -118,73 +121,3 @@ def is_k_forcing_number(g: Graph, k: int, value: int) -> bool:
         return False
     return (next(k_forcing_sets(g, k, value - 1), None) is None
             and next(k_forcing_sets(g, k, value), None) is not None)
-
-
-def greedy_k_forcing_upper(g: Graph, k: int) -> tuple[int, int]:
-    """Greedy upper bound: (size, witness mask) of a verified k-forcing set.
-
-    Repeatedly adds the vertex whose addition maximizes the closure
-    size, ties broken by smallest index.
-    """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if g.n < 1:
-        raise GraphError("greedy forcing undefined for the empty graph")
-    chosen = 0
-    covered = 0
-    while covered != g.full_mask:
-        best_v = -1
-        best_gain = -1
-        for v in range(g.n):
-            bit = 1 << v
-            if chosen & bit:
-                continue
-            gain = _fixpoint(g.adj, chosen | bit, k).bit_count()
-            if gain > best_gain:
-                best_gain = gain
-                best_v = v
-        chosen |= 1 << best_v
-        covered = _fixpoint(g.adj, chosen, k)
-    return chosen.bit_count(), chosen
-
-
-def check_spread(g: Graph, k: int = 1) -> bool:
-    """Check that deleting any one vertex or edge moves F_k by at most 1."""
-    if g.n < 2:
-        raise GraphError("spread check needs at least two vertices")
-    base = k_forcing_number(g, k).value
-    for v in range(g.n):
-        if abs(base - k_forcing_number(g.delete_vertex(v), k).value) > 1:
-            return False
-    for u, v in g.edges():
-        if abs(base - k_forcing_number(g.delete_edge(u, v), k).value) > 1:
-            return False
-    return True
-
-
-class NotKConnectedError(GraphError):
-    """Raised when an operation requires k-connectivity the graph lacks."""
-
-
-def min_forcing_connected_complement(g: Graph, k: int) -> tuple[int, int]:
-    """Smallest k-forcing set whose complement induces a connected subgraph.
-
-    Returns (witness mask, size). Requires g to be k-connected with
-    n > k; complements of at most one vertex count as connected
-    vacuously.
-    """
-    from .invariants import vertex_k_connected
-
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    if not vertex_k_connected(g, k):
-        raise NotKConnectedError(f"graph is not {k}-connected")
-    full = g.full_mask
-    for c in range(1, g.n + 1):
-        for mask in subsets_of_size(g.n, c):
-            rest = full & ~mask
-            if rest.bit_count() > 1 and not g.is_connected_within(rest):
-                continue
-            if is_k_forcing_set(g, mask, k):
-                return mask, c
-    raise AssertionError("unreachable: n-1 vertices always qualify")

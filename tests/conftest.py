@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from kforcing import Graph, parse_graph6
+from kforcing.cli import build_parser
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -22,6 +23,13 @@ def read_graph6_file(path: str) -> list[Graph]:
     """Parse every nonempty line of a graph6 file."""
     with open(path, encoding="ascii") as fh:
         return [parse_graph6(line) for line in fh if line.strip()]
+
+
+def compute_invariant_choices() -> list[str]:
+    """The ``compute --invariant`` choices, read from the parser."""
+    compute = build_parser()._subparsers._group_actions[0].choices["compute"]
+    action, = (a for a in compute._actions if a.dest == "invariant")
+    return list(action.choices)
 
 
 def load_connected(n: int):

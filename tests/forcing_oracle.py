@@ -4,11 +4,14 @@ They share no code with ``kforcing.forcing``. :func:`closure` runs the
 synchronous rounds with a full trace, :func:`closure_async` fires forcers
 one at a time instead, and the minimum is found by a plain scan over every
 mask instead of Gosper's colex enumeration by size.
+:func:`min_forcing_cc_oracle` finds a minimum forcing set with a connected
+complement; no bound reads it, so the package has no such solver.
 """
 
 from dataclasses import dataclass
+from itertools import combinations
 
-from kforcing import Graph, GraphError, iter_bits
+from kforcing import Graph, GraphError, iter_bits, mask_from
 
 
 @dataclass(frozen=True)
@@ -88,3 +91,30 @@ def forcing_sets_oracle(g: Graph, k: int, c: int) -> list[int]:
         for mask in range(1 << g.n)
         if mask.bit_count() == c and closure_async(g, mask, k) == g.full_mask
     ]
+
+
+def min_forcing_cc_oracle(g: Graph, k: int) -> tuple[int, int]:
+    """(size, witness mask) of a smallest k-forcing set whose complement
+    induces a connected subgraph, by a set-based scan over itertools
+    combinations, smallest size first."""
+    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+
+    def connected(sub):
+        sub = set(sub)
+        if len(sub) <= 1:
+            return True
+        seen = {min(sub)}
+        frontier = set(seen)
+        while frontier:
+            frontier = {u for v in frontier for u in adj[v] & sub} - seen
+            seen |= frontier
+        return seen == sub
+
+    for c in range(1, g.n + 1):
+        for combo in combinations(range(g.n), c):
+            rest = set(range(g.n)) - set(combo)
+            if not connected(rest):
+                continue
+            if closure_async(g, mask_from(combo), k) == g.full_mask:
+                return c, mask_from(combo)
+    raise AssertionError("unreachable")

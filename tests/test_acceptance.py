@@ -21,8 +21,6 @@ from kforcing import (
     disjoint_union,
     evaluate_bounds,
     k_forcing_number,
-    max_leaf_spanning_tree,
-    min_forcing_connected_complement,
     path_cover_number,
     vertex_k_connected,
     vertices_from,
@@ -40,8 +38,9 @@ from kforcing.families import (
 )
 
 from conftest import DATA, read_graph6_file
-from forcing_oracle import closure_async
+from forcing_oracle import closure_async, min_forcing_cc_oracle
 from random_graphs import random_graph
+from spanning_tree_oracle import max_leaf_spanning_tree
 
 
 def report(criterion: str, failures: list, detail: str) -> None:
@@ -124,8 +123,10 @@ def test_criterion_3_minimum_set_structure(connected_upto_6):
         for k in range(1, g.n):
             if not vertex_k_connected(g, k):
                 continue
-            s, _ = min_forcing_connected_complement(g, k)
+            _, s = min_forcing_cc_oracle(g, k)
             rest = g.full_mask & ~s
+            if not rest:  # the minimum never needs all n vertices
+                failures.append(("complement-empty", write_graph6(g), k))
             if not g.is_connected_within(rest):
                 failures.append(("complement-connected", write_graph6(g), k))
             for v in vertices_from(s):

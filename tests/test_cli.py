@@ -11,7 +11,7 @@ from kforcing.families import FamilySpec
 from kforcing.graphio import parse_graph6, write_graph6
 from kforcing.families import complete, complete_bipartite, cycle
 
-from conftest import DATA
+from conftest import DATA, compute_invariant_choices
 
 
 def run_cli(*args):
@@ -121,17 +121,12 @@ def test_compute_exit_codes(tmp_path):
     proc = run_cli("compute", "--graph6", big, "--invariant", "forcing")
     assert proc.returncode == 3
 
-    # max-leaf enumeration is capped below the general scope cap
-    proc = run_cli("compute", "--graph6", write_graph6(cycle(11)),
-                   "--invariant", "max-leaf")
-    assert proc.returncode == 3
-
     proc = run_cli("compute", "--graph6", write_graph6(cycle(4)),
                    "--invariant", "path-cover")
     assert proc.returncode == 2  # not a tree
 
 
-@pytest.mark.parametrize("invariant", ["star-free", "profile", "record"])
+@pytest.mark.parametrize("invariant", compute_invariant_choices())
 def test_compute_empty_graph_exits_2(invariant):
     proc = run_cli("compute", "--graph6", "?", "--invariant", invariant)
     assert proc.returncode == 2

@@ -5,7 +5,7 @@ import re
 import kforcing
 from kforcing.cli import build_parser
 
-from conftest import DATA
+from conftest import DATA, compute_invariant_choices
 
 
 def test_readme_library_table_names_exist_and_star_import_works():
@@ -25,3 +25,9 @@ def test_readme_library_table_names_exist_and_star_import_works():
     namespace = {}
     exec("from kforcing import *", namespace)
     assert set(kforcing.__all__) <= namespace.keys()
+
+
+def test_readme_lists_every_compute_invariant_choice():
+    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("`compute --invariant` takes one of", 1)[1].split(":", 1)[0]
+    assert re.findall(r"`([\w-]+)`", sentence) == compute_invariant_choices()

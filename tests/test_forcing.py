@@ -5,18 +5,14 @@ import pytest
 from kforcing import (
     Graph,
     GraphError,
-    NotKConnectedError,
-    check_spread,
     components,
     degree_profile,
     disjoint_union,
-    greedy_k_forcing_upper,
     is_k_forcing_number,
     is_k_forcing_set,
     k_forcing_number,
     k_forcing_sets,
     mask_from,
-    min_forcing_connected_complement,
     vertices_from,
 )
 from kforcing.families import complete, complete_bipartite, cycle, path
@@ -27,6 +23,7 @@ from forcing_oracle import (
     closure_async,
     forcing_number_oracle,
     forcing_sets_oracle,
+    min_forcing_cc_oracle,
 )
 from random_graphs import random_graph
 
@@ -287,103 +284,21 @@ def test_confluence_spot_checks():
                 assert _fixpoint(g.adj, 1 << v, k) == closure_async(g, 1 << v, k)
 
 
-def test_greedy_examples():
-    assert greedy_k_forcing_upper(path(4), 1)[0] == 1
-    for n in (4, 5, 6):
-        for k in range(1, n):
-            assert greedy_k_forcing_upper(complete(n), k)[0] == n - k
-    for g in (path(5), cycle(7), complete_bipartite(2, 4)):
-        dmax = degree_profile(g)[0]
-        assert greedy_k_forcing_upper(g, dmax)[0] == 1
-
-
-def test_greedy_witness_always_verifies(connected_upto_6):
-    for g in connected_upto_6:
-        dmax = degree_profile(g)[0]
-        for k in range(1, dmax + 1):
-            value, witness = greedy_k_forcing_upper(g, k)
-            assert witness.bit_count() == value
-            assert is_k_forcing_set(g, witness, k)
-            assert value >= k_forcing_number(g, k).value
-
-
 def test_spread_examples():
     g = cycle(6)
     assert k_forcing_number(g, 1).value == 2
     assert k_forcing_number(g.delete_edge(0, 1), 1).value == 1
-    assert check_spread(g)
     k4 = complete(4)
     assert k_forcing_number(k4.delete_vertex(0), 1).value == 2
-    assert check_spread(k4)
-    with pytest.raises(GraphError):
-        check_spread(complete(1))
 
 
 def test_min_forcing_connected_complement_examples():
-    mask, value = min_forcing_connected_complement(complete(4), 1)
-    assert value == 3
-    mask, value = min_forcing_connected_complement(cycle(5), 1)
+    assert min_forcing_cc_oracle(complete(4), 1)[0] == 3
+    value, mask = min_forcing_cc_oracle(cycle(5), 1)
     assert value == 2
     assert vertices_from(mask) == (0, 1)
     g = cycle(5)
     assert g.is_connected_within(g.full_mask & ~mask)
-    with pytest.raises(NotKConnectedError):
-        min_forcing_connected_complement(path(4), 2)
-
-
-def min_forcing_cc_oracle(g: Graph, k: int) -> int:
-    """Set-based scan over itertools combinations, smallest size first."""
-    from itertools import combinations
-
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
-
-    def connected(sub):
-        sub = set(sub)
-        if len(sub) <= 1:
-            return True
-        seen = {min(sub)}
-        frontier = set(seen)
-        while frontier:
-            frontier = {u for v in frontier for u in adj[v] & sub} - seen
-            seen |= frontier
-        return seen == sub
-
-    for c in range(1, g.n + 1):
-        for combo in combinations(range(g.n), c):
-            rest = set(range(g.n)) - set(combo)
-            if not connected(rest):
-                continue
-            if closure_async(g, mask_from(combo), k) == g.full_mask:
-                return c
-    raise AssertionError("unreachable")
-
-
-def test_connected_complement_matches_oracle(connected_upto_6):
-    from kforcing import vertex_k_connected
-
-    for g in connected_upto_6:
-        if g.n > 5:
-            continue
-        for k in (1, 2):
-            if not vertex_k_connected(g, k):
-                continue
-            _, value = min_forcing_connected_complement(g, k)
-            assert value == min_forcing_cc_oracle(g, k)
-
-
-def test_connected_complement_yields_connected_dominating_set(connected_upto_6):
-    from kforcing import vertex_k_connected
-
-    for g in connected_upto_6[:60]:
-        for k in (1, 2):
-            if not vertex_k_connected(g, k):
-                continue
-            mask, _ = min_forcing_connected_complement(g, k)
-            rest = g.full_mask & ~mask
-            assert rest  # the minimum never needs all n vertices
-            assert g.is_connected_within(rest)
-            outside = vertices_from(g.full_mask & ~rest)
-            assert all((g.adj[v] & rest).bit_count() >= k for v in outside)
 
 
 def test_isolated_vertices_must_be_chosen():

@@ -16,9 +16,9 @@ import os
 
 import pytest
 
-from kforcing.cli import build_parser, main
+from kforcing.cli import main
 
-from conftest import DATA
+from conftest import DATA, compute_invariant_choices
 
 
 def sha256(data: bytes) -> str:
@@ -122,34 +122,24 @@ def test_compute_record_output_digest(g6, capsys):
     assert sha256(out.encode()) == RECORD_DIGESTS[g6]
 
 
-def _invariant_choices() -> list[str]:
-    compute = build_parser()._subparsers._group_actions[0].choices["compute"]
-    action, = (a for a in compute._actions if a.dest == "invariant")
-    return list(action.choices)
-
-
 # exit code, stdout and stderr of every compute call on the RECORD_DIGESTS
 # graphs at --k 1 and at --k 2 --all-min, as text and as --json
 COMPUTE_DIGESTS = {
     "alpha": "ea0ca45de5dd1890385de35b8b27557e8512ddf0ed37dd2bd9b83912dcafb9d8",
     "cycle-tree": "f6b12e22e20a038ef4ea7e92463b25266167092b41a2e92b14f2a2c5baea6a70",
     "forcing": "3fbc33f78e458b49644efa1d40acb5a7ea91d5652522103b525dc11eba466b13",
-    "forcing-cc": "f57d9dbf4e5b08afc0a488f5bc11c95af9b34c0421fede0b12b157bf4573ff4e",
     "gamma-c": "d6d66ba9e3f1501ae2bec6d8e5f3d7f5c1bbc42965a07c2d6556f06ca79259ab",
     "gamma-kc": "b30c5089118e213b9cd6b6b84f1959d096ffabb67e74d66180ce80519cbd5ae3",
-    "greedy-forcing": "6b92cbda96850a80b5d515ec04ba1c27b84bcccb1db8510e0ad6927ccb224f95",
     "hamiltonian": "3f9f3b3810a5cc30118e724e0616b0172465053676f6934a4b2f5a2ca89341ee",
-    "max-leaf": "feda84b2046fed58dfef309f57d2237a4e0a6ef5932b653078a29039e9331615",
     "path-cover": "2da098f772092cb368d4bfcee77363807188edc66975a77ae254b30dd2da14b0",
     "profile": "7d3da3ae66c1615ffa636eb3f89228a024f4ce0ceb1adb104e250b91b48941a1",
     "record": "5db28480f8eff6fcd2682eb026fc80c2e9bff063c619e643ead78b79ceda0e52",
-    "spread": "f5de29d1b59a792f4bc34b7f1508724fa1b4b621a987718286927901f2b331bc",
     "star-free": "a80bbc9dbe9b10d31307f3f470fa55f7018bc76fec6d1a1c8c0232994fd78799",
 }
 
 
 def test_compute_digests_cover_every_invariant():
-    assert sorted(COMPUTE_DIGESTS) == sorted(_invariant_choices())
+    assert sorted(COMPUTE_DIGESTS) == sorted(compute_invariant_choices())
 
 
 @pytest.mark.parametrize("invariant", sorted(COMPUTE_DIGESTS))

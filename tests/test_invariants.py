@@ -15,7 +15,6 @@ from kforcing import (
     k_forcing_number,
     k_independence_number,
     mask_from,
-    max_leaf_spanning_tree,
     min_star_free_index,
     path_cover_number,
     subsets_of_size,
@@ -34,6 +33,8 @@ from kforcing.families import (
     star,
     subdivided_star,
 )
+
+from spanning_tree_oracle import max_leaf_spanning_tree
 
 
 # -- independent oracles (set-based, no bitmask machinery) -------------------

@@ -230,10 +230,15 @@ def test_enumeration_reproduces_connected_8(tmp_path):
 
 
 @n9
+@pytest.mark.filterwarnings("ignore:The hashes produced")  # buckets only, never stored
 def test_connected_9_count_and_digest(tmp_path):
     graphs = connected_graphs(9)
     assert len(graphs) == 261080  # OEIS A001349
-    assert hashlib.sha256(_written(tmp_path, graphs)).hexdigest() == N9_SHA256
+    written = _written(tmp_path, graphs)
+    assert hashlib.sha256(written).hexdigest() == N9_SHA256
+    nx = pytest.importorskip("networkx")
+    sample = random.Random(9).sample(written.split(), 5000)
+    _assert_one_graph_per_class(nx, sample, "connected_9 sample")
 
 
 @extended
@@ -247,18 +252,23 @@ def test_canonical_keys_separate_classes():
     assert len(set(keys)) == len(keys)
 
 
+def _assert_one_graph_per_class(nx, lines, name):
+    """No two graph6 ``lines`` that share a Weisfeiler-Lehman hash are isomorphic."""
+    buckets = {}
+    for line in lines:
+        h = nx.from_graph6_bytes(line)
+        buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
+    for bucket in buckets.values():
+        for i, a in enumerate(bucket):
+            assert not any(nx.is_isomorphic(a, b) for b in bucket[i + 1:]), name
+
+
 @pytest.mark.filterwarnings("ignore:The hashes produced")  # buckets only, never stored
 def test_shipped_corpora_hold_one_graph_per_class():
     nx = pytest.importorskip("networkx")
     names = [f"connected_{n}" for n in range(1, 9)] + [f"trees_{n}" for n in range(1, 11)]
     for name in names:
-        buckets = {}
-        for line in (DATA / f"{name}.g6").read_bytes().split():
-            h = nx.from_graph6_bytes(line)
-            buckets.setdefault(nx.weisfeiler_lehman_graph_hash(h), []).append(h)
-        for bucket in buckets.values():
-            for i, a in enumerate(bucket):
-                assert not any(nx.is_isomorphic(a, b) for b in bucket[i + 1:]), name
+        _assert_one_graph_per_class(nx, (DATA / f"{name}.g6").read_bytes().split(), name)
 
 
 def test_canonical_graph_is_idempotent():
