@@ -301,6 +301,21 @@ def test_min_forcing_connected_complement_examples():
     assert g.is_connected_within(g.full_mask & ~mask)
 
 
+def test_connected_complement_yields_connected_dominating_set(connected_upto_6):
+    from kforcing import vertex_k_connected
+
+    for g in connected_upto_6[:60]:
+        for k in (1, 2):
+            if not vertex_k_connected(g, k):
+                continue
+            _, mask = min_forcing_cc_oracle(g, k)
+            rest = g.full_mask & ~mask
+            assert rest  # the minimum never needs all n vertices
+            assert g.is_connected_within(rest)
+            outside = vertices_from(g.full_mask & ~rest)
+            assert all((g.adj[v] & rest).bit_count() >= k for v in outside)
+
+
 def test_isolated_vertices_must_be_chosen():
     g = disjoint_union(path(3), Graph(2, (0, 0)))
     res = k_forcing_number(g, 1)
