@@ -162,13 +162,15 @@ class Graph:
     def component_of(self, start: int, within: int | None = None) -> int:
         """Bitmask of the component containing ``start``, restricted to ``within``."""
         allowed = self.full_mask if within is None else within
-        seen = 1 << start
-        frontier = seen
+        adj = self.adj
+        seen = frontier = 1 << start
         while frontier:
             nxt = 0
-            for v in iter_bits(frontier):
-                nxt |= self.adj[v] & allowed
-            frontier = nxt & ~seen
+            while frontier:
+                low = frontier & -frontier
+                nxt |= adj[low.bit_length() - 1]
+                frontier ^= low
+            frontier = nxt & allowed & ~seen
             seen |= frontier
         return seen
 
@@ -206,8 +208,11 @@ def from_upper_triangle(n: int, bits: int) -> Graph:
     for j in range(1, n):
         adj[j] = col = bits & (1 << j) - 1
         bits >>= j
-        for i in iter_bits(col):
-            adj[i] |= 1 << j
+        bit = 1 << j
+        while col:
+            low = col & -col
+            adj[low.bit_length() - 1] |= bit
+            col ^= low
     return Graph._unchecked(n, tuple(adj))
 
 

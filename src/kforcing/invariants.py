@@ -184,22 +184,20 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
         raise GraphError("Hamiltonian cycles need n >= 3")
     if any(g.degree(v) < 2 for v in range(g.n)):
         return None
-    n = g.n
-    path = [0]
-
-    def extend(visited: int) -> bool:
-        v = path[-1]
-        if len(path) == n:
-            return bool(g.adj[v] & 1)
-        for u in iter_bits(g.adj[v] & ~visited):
-            path.append(u)
-            if extend(visited | (1 << u)):
-                return True
-            path.pop()
-        return False
-
-    if extend(1):
-        return tuple(path)
+    adj, path, visited = g.adj, [0], 1
+    untried = [adj[0] & ~1]  # untried[i]: the next vertices to try after path[i]
+    while untried:
+        if untried[-1]:
+            low = untried[-1] & -untried[-1]
+            untried[-1] ^= low
+            path.append(low.bit_length() - 1)
+            visited |= low
+            untried.append(adj[path[-1]] & ~visited)
+        elif len(path) == g.n and adj[path[-1]] & 1:
+            return tuple(path)
+        else:
+            untried.pop()
+            visited ^= 1 << path.pop()
     return None
 
 
@@ -207,12 +205,18 @@ def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
 
 def _independence(adj: tuple[int, ...], mask: int) -> int:
     """Independence number of the subgraph that ``mask`` induces."""
-    if not mask:
-        return 0
-    v = (mask & -mask).bit_length() - 1
-    rest = mask & ~(1 << v)
-    taken = 1 + _independence(adj, rest & ~adj[v])
-    return taken if not adj[v] & rest else max(taken, _independence(adj, rest))
+    best, branches = 0, [(mask, 0)]  # (vertices left, vertices taken)
+    while branches:
+        mask, size = branches.pop()
+        while mask:  # take the lowest vertex; a neighbour left makes leaving it out a branch
+            low = mask & -mask
+            mask ^= low
+            if (nbrs := adj[low.bit_length() - 1]) & mask:
+                branches.append((mask, size))
+            mask &= ~nbrs
+            size += 1
+        best = max(best, size)
+    return best
 
 
 def min_star_free_index(g: Graph) -> int:

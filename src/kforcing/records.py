@@ -1,10 +1,12 @@
 """Exact invariant values for one graph, each computed when first read.
 
-:func:`compute_record` checks the exact scope and computes the degree
-profile and components; every solver-backed value (forcing numbers,
-domination, independence, connectivity, Hamiltonicity, cycle-tree shape,
-star-freeness, path cover) runs only when a bound gate, a bound formula
-or a caller reads it, and is kept for later reads.
+:func:`compute_record` checks the exact scope and computes n, m and the
+maximum and minimum degree, from one pass over the adjacency. Everything
+else (leaf and degree-3 counts, connectedness, components, and every
+solver-backed value: forcing numbers, domination, independence,
+connectivity, Hamiltonicity, cycle-tree shape, star-freeness, path
+cover) runs only when a bound gate, a bound formula or a caller reads
+it, and is kept for later reads.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from functools import cache, cached_property
 from typing import Callable
 
 from .forcing import k_forcing_number
-from .graph import Graph, GraphError, components, degree_profile
+from .graph import Graph, GraphError, components
 from .invariants import (
     ExactScopeError,
     connected_k_domination,
@@ -50,19 +52,28 @@ class InvariantRecord:
 
     def __init__(self, g: Graph):
         self.graph = g
-        self.n, self.m = g.n, g.m
-        self.max_degree, self.min_degree, self.leaf_count, hist = degree_profile(g)
-        self.degree_histogram = dict(hist)
-        self.component_count = len(components(g))
-        self.connected = self.component_count == 1
-        self.tree = self.connected and g.m == g.n - 1
+        degrees = [a.bit_count() for a in g.adj]
+        self.n, self.m = g.n, sum(degrees) // 2
+        self.max_degree, self.min_degree = max(degrees), min(degrees)
+
+    # the solver closures capture ``g`` and ``dmax``, not the record, so no
+    # record is in a reference cycle
+
+    @cached_property
+    def forcing(self) -> _OnDemand:
         # no vertex has over dmax uncolored neighbours: all k >= dmax force alike
-        dmax = max(self.max_degree, 1)
-        self.forcing = _OnDemand(lambda known, k: known[dmax] if k > dmax
-                                 else k_forcing_number(g, k).value)
-        self.gamma_kc = _OnDemand(
-            lambda known, k: (res := connected_k_domination(g, k)) and res[0]
-        )
+        g, dmax = self.graph, max(self.max_degree, 1)
+        return _OnDemand(lambda known, k: known[dmax] if k > dmax
+                         else k_forcing_number(g, k).value)
+
+    @cached_property
+    def gamma_kc(self) -> _OnDemand:
+        g = self.graph
+        return _OnDemand(lambda known, k: (res := connected_k_domination(g, k)) and res[0])
+
+    @cached_property
+    def alpha(self) -> _OnDemand:
+        g, dmax = self.graph, max(self.max_degree, 1)
 
         def alphas(known: dict, k: int) -> int:
             # one scan answers every k up to dmax, and verify reads them all
@@ -70,19 +81,38 @@ class InvariantRecord:
             known.update((j, size) for j, (size, _) in found.items())
             return known[k]
 
-        self.alpha = _OnDemand(alphas)
-        # one connectivity scan serves every k; a closure over ``g`` alone
-        # keeps the record out of a reference cycle
+        return _OnDemand(alphas)
+
+    @cached_property
+    def k_connected(self) -> _OnDemand:
+        g = self.graph
+        # one connectivity scan serves every k
         kappa = cache(lambda: vertex_connectivity(g))
-        self.k_connected = _OnDemand(lambda known, k: g.n > k and kappa() >= k)
+        return _OnDemand(lambda known, k: g.n > k and kappa() >= k)
+
+    @cached_property
+    def leaf_count(self) -> int:
+        return sum(a.bit_count() == 1 for a in self.graph.adj)
+
+    @cached_property
+    def degree3_count(self) -> int:
+        return sum(a.bit_count() == 3 for a in self.graph.adj)
+
+    @cached_property
+    def component_count(self) -> int:
+        return len(components(self.graph))
+
+    @cached_property
+    def connected(self) -> bool:
+        return self.graph.is_connected()
+
+    @cached_property
+    def tree(self) -> bool:
+        return self.connected and self.m == self.n - 1
 
     @property
     def gamma_c(self) -> int | None:
         return self.gamma_kc[1]
-
-    @property
-    def degree3_count(self) -> int:
-        return self.degree_histogram.get(3, 0)
 
     @cached_property
     def hamiltonian(self) -> bool:

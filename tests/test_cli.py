@@ -9,7 +9,7 @@ import pytest
 from kforcing.cli import CampaignConfig, expand_family_spec, main
 from kforcing.families import FamilySpec
 from kforcing.graphio import parse_graph6, write_graph6
-from kforcing.families import complete, complete_bipartite, cycle
+from kforcing.families import complete, complete_bipartite, cycle, star
 
 from conftest import DATA, compute_invariant_choices
 
@@ -600,3 +600,20 @@ def test_import_loads_no_process_pool():
         capture_output=True, text=True,
     )
     assert proc.stdout == "False\n", proc.stderr
+
+
+@pytest.mark.parametrize("argv, value", [
+    (["compute", "--graph6", write_graph6(cycle(1100)), "--invariant", "hamiltonian"],
+     True),
+    (["compute", "--graph6", write_graph6(star(1100)), "--invariant", "star-free"],
+     1101),
+])
+def test_compute_past_the_recursion_limit(argv, value, capsys):
+    assert main([*argv, "--max-n", "2000", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] == value
+
+
+def test_verify_hamiltonian_gate_past_the_recursion_limit(capsys):
+    assert main(["verify", "--spec", "cycle:1100", "--max-n", "2000", "--k", "1",
+                 "--bounds", "HAM_CHORDS"]) == 0
+    assert "not_applicable=1 violations=0" in capsys.readouterr().out

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from kforcing import (
     components,
     degree_profile,
     disjoint_union,
+    iter_bits,
     mask_from,
     parse_graph6,
     subsets_of_size,
@@ -195,3 +197,42 @@ def test_upper_triangle_of_the_smallest_graphs():
     assert upper_triangle(complete(4)) == 0b111111
     star_at_2 = Graph.from_edges(4, [(0, 2), (1, 2), (2, 3)])
     assert from_upper_triangle(4, 0b100110) == star_at_2
+
+
+# -- the inlined bit walks against generator-based oracles ----------------
+
+def component_of_oracle(g: Graph, start: int, within: int | None = None) -> int:
+    """Breadth-first search over ``iter_bits``, as ``component_of`` once was."""
+    allowed = g.full_mask if within is None else within
+    seen = frontier = 1 << start
+    while frontier:
+        nxt = 0
+        for v in iter_bits(frontier):
+            nxt |= g.adj[v] & allowed
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def test_component_of_matches_oracle_on_every_start_and_mask(connected_upto_6):
+    graphs = connected_upto_6 + [disjoint_union(cycle(3), path(3)), Graph(3, (0, 0, 0))]
+    for g in graphs:
+        for start in range(g.n):
+            assert g.component_of(start) == component_of_oracle(g, start)
+            for within in range(1 << g.n):
+                assert g.component_of(start, within) == component_of_oracle(
+                    g, start, within)
+
+
+def test_from_upper_triangle_matches_a_validated_edge_build():
+    rng = random.Random(18)
+    for n in range(11):
+        pairs = [(i, j) for j in range(n) for i in range(j)]
+        for draw in range(100):
+            bits = rng.getrandbits(len(pairs))
+            if draw % 2:  # sparse as well as half-dense graphs
+                bits &= rng.getrandbits(len(pairs))
+            want = Graph.from_edges(
+                n, [pair for p, pair in enumerate(pairs) if bits >> p & 1])
+            assert from_upper_triangle(n, bits) == want
+        assert from_upper_triangle(n, (1 << len(pairs)) - 1) == Graph.from_edges(n, pairs)

@@ -132,16 +132,17 @@ def max_leaf_oracle(g: Graph) -> int:
     return best
 
 
-def hamiltonian_oracle(g: Graph) -> bool:
+def first_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
+    """The lexicographically first Hamiltonian cycle from vertex 0, or None."""
     if g.n < 3:
-        return False
+        return None
     for perm in permutations(range(1, g.n)):
         order = (0,) + perm
         if all(
             g.has_edge(order[i], order[(i + 1) % g.n]) for i in range(g.n)
         ):
-            return True
-    return False
+            return order
+    return None
 
 
 # -- connected k-domination ---------------------------------------------------
@@ -425,7 +426,8 @@ def test_hamiltonian_cycle_is_valid_and_matches_oracle(connected_upto_6):
         if g.n < 3:
             continue
         cyc = hamiltonian_cycle(g)
-        assert (cyc is not None) == hamiltonian_oracle(g)
+        # backtracking tries neighbours in index order: the first cycle in lex order
+        assert cyc == first_hamiltonian_cycle(g)
         if cyc is not None:
             assert sorted(cyc) == list(range(g.n))
             assert all(
@@ -567,3 +569,12 @@ def test_cycle_tree_component_structure():
     flag, q = is_cycle_tree(g)
     assert flag and q == 3 == g.m - g.n + 1
     assert mask_from(range(g.n)) == g.full_mask
+
+
+def test_independence_of_every_neighbourhood_and_whole_graph(connected_upto_7):
+    from kforcing.invariants import _independence
+
+    for g in connected_upto_7:
+        for mask in (*g.adj, g.full_mask):
+            want = k_independence_number(g.induced_subgraph(mask), 1)[0] if mask else 0
+            assert _independence(g.adj, mask) == want

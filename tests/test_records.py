@@ -93,3 +93,31 @@ def test_record_cycle_tree_field():
     g = cycle_tree((3, 3, 4))
     rec = compute_record(g)
     assert rec.cycle_tree_q == 3
+
+
+def test_record_reads_no_component_until_asked(monkeypatch):
+    from kforcing.graph import Graph
+
+    def no_bfs(*args):
+        raise AssertionError("component_of ran")
+
+    g = cycle_tree((3, 4))
+    monkeypatch.setattr(Graph, "component_of", no_bfs)
+    rec = compute_record(g)
+    assert (rec.n, rec.m, rec.max_degree, rec.min_degree) == (7, 8, 3, 2)
+    assert "forcing" not in vars(rec) and "k_connected" not in vars(rec)
+    with pytest.raises(AssertionError, match="component_of ran"):
+        rec.connected
+
+
+def test_record_fields_match_their_definitions(connected_upto_6):
+    from kforcing import components, degree_profile
+
+    for g in connected_upto_6 + [disjoint_union(complete(3), path(2), star(3))]:
+        rec = compute_record(g)
+        dmax, dmin, leaves, hist = degree_profile(g)
+        assert (rec.n, rec.m, rec.max_degree, rec.min_degree) == (g.n, g.m, dmax, dmin)
+        assert (rec.leaf_count, rec.degree3_count) == (leaves, hist.get(3, 0))
+        assert rec.component_count == len(components(g))
+        assert rec.connected == (rec.component_count == 1) == g.is_connected()
+        assert rec.tree == g.is_tree()
