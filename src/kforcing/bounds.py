@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -43,6 +43,10 @@ class BoundId(enum.Enum):
     K1R = "K1R"
     K1R_ALPHA = "K1R_ALPHA"
     CLAWFREE = "CLAWFREE"
+
+    # members are singletons compared by identity, so they may hash by it;
+    # Enum's own hash reads the name through a Python-level call
+    __hash__ = object.__hash__
 
 
 ALL_BOUNDS = tuple(BoundId)
@@ -208,6 +212,11 @@ class BoundReport(NamedTuple):
     detail: tuple[tuple[str, int], ...] = ()
 
 
+# a report from a tuple of all its fields: tuple.__new__ is what BoundReport()
+# and BoundReport._make call, less their Python-level frame
+_report = partial(tuple.__new__, BoundReport)
+
+
 def bound_value(
     bound: BoundId, g: Graph, k: int, rec: InvariantRecord, side: str | None = None
 ) -> Fraction | None:
@@ -249,15 +258,15 @@ def evaluate_bounds(
     for k in sorted(set(ks)):
         for bound, entry in entries:
             if not entry.gate(rec, k):
-                reports.append(BoundReport(
-                    graph_id, k, bound, entry.checks[-1].side, False))
+                reports.append(_report((graph_id, k, bound, entry.checks[-1].side,
+                                        False, None, None, None, None, None, ())))
                 continue
             for check in entry.checks:
                 value, exact = check.value(rec, k), check.exact(rec, k)
-                p, q = value.numerator, value.denominator
+                p, q = value.as_integer_ratio()
                 d = p - exact * q if check.side == "upper" else exact * q - p
-                reports.append(BoundReport(
+                reports.append(_report((
                     graph_id, k, bound, check.side, True, value, exact,
                     _q(d, q), d == 0, d >= 0, check.detail(rec, k),
-                ))
+                )))
     return reports

@@ -223,11 +223,14 @@ def _parse_bounds(text: str) -> tuple[BoundId, ...]:
     return tuple(ids)
 
 
+_BOUND_NAMES = {bound: bound.value for bound in BoundId}
+
+
 @lru_cache(maxsize=1024)
 def _not_applicable_tail(k: int, bound: BoundId, side: str) -> str:
     """A not-applicable report's JSONL line after its graph's prefix."""
     return json.dumps({
-        "k": k, "bound": bound.value, "side": side, "applicable": False,
+        "k": k, "bound": _BOUND_NAMES[bound], "side": side, "applicable": False,
         "bound_value": None, "exact": None, "slack": None, "equality": None,
         "satisfied": None, "detail": {},
     })[1:] + "\n"
@@ -237,13 +240,17 @@ def _applicable_tail(rep: BoundReport) -> str:
     """An applicable report's JSONL line after its graph's prefix.
 
     Formats the fields json.dumps would: the bound id, side and rationals
-    hold no character JSON escapes, and the detail values are ints.
+    hold no character JSON escapes, and the detail values are ints. A
+    rational p/q prints as ``str(Fraction)`` does: ``p`` when q is 1.
     """
-    detail = ", ".join(f'"{name}": {value}' for name, value in rep.detail)
+    p, q = rep.bound_value.as_integer_ratio()
+    sp, sq = rep.slack.as_integer_ratio()
+    detail = ", ".join(
+        f'"{name}": {value}' for name, value in rep.detail) if rep.detail else ""
     return (
-        f'"k": {rep.k}, "bound": "{rep.bound.value}", "side": "{rep.side}", '
-        f'"applicable": true, "bound_value": "{rep.bound_value!s}", '
-        f'"exact": {rep.exact_value}, "slack": "{rep.slack!s}", '
+        f'"k": {rep.k}, "bound": "{_BOUND_NAMES[rep.bound]}", "side": "{rep.side}", '
+        f'"applicable": true, "bound_value": "{p if q == 1 else f"{p}/{q}"}", '
+        f'"exact": {rep.exact_value}, "slack": "{sp if sq == 1 else f"{sp}/{sq}"}", '
         f'"equality": {"true" if rep.equality else "false"}, '
         f'"satisfied": {"true" if rep.satisfied else "false"}, '
         f'"detail": {{{detail}}}}}\n'
@@ -278,10 +285,10 @@ def _verify_one(
             continue
         tails.append(_applicable_tail(rep))
         if rep.equality:
-            equalities.append(f"{rep.bound.value}@{rep.k}:{rep.side}")
+            equalities.append(f"{_BOUND_NAMES[rep.bound]}@{rep.k}:{rep.side}")
         if not rep.satisfied:
             violations.append(
-                f"VIOLATION: graph6={g6} k={rep.k} bound={rep.bound.value} "
+                f"VIOLATION: graph6={g6} k={rep.k} bound={_BOUND_NAMES[rep.bound]} "
                 f"side={rep.side} bound_value={rep.bound_value!s} exact={rep.exact_value}"
             )
     counts = (len(reports) - not_applicable, len(equalities), not_applicable)

@@ -51,7 +51,7 @@ def is_k_forcing_set(g: Graph, s: int, k: int) -> bool:
     """True iff the closure of ``s`` colors every vertex."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    full = g.full_mask
+    full = (1 << g.n) - 1
     if s & ~full:
         raise GraphError("initial set contains out-of-range vertices")
     return _fixpoint(g.adj, s, k) == full
@@ -66,8 +66,6 @@ def k_forcing_sets(g: Graph, k: int, c: int) -> Iterator[int]:
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if c < 0:
-        raise ValueError(f"subset size must be non-negative, got {c}")
     return (mask for mask in subsets_of_size(g.n, c)
             if is_k_forcing_set(g, mask, k))
 
@@ -90,15 +88,17 @@ def k_forcing_number(
     if g.n < 1:
         raise GraphError("k-forcing number undefined for the empty graph")
     for c in range(len(components(g)), g.n + 1):
-        level = k_forcing_sets(g, k, c)
         if collect_all_minimum:
-            found = tuple(level)
+            found = tuple(k_forcing_sets(g, k, c))
             if found:
                 return KForcingResult(
                     k=k, value=c, witness=found[0], all_minimum=found
                 )
-        elif (witness := next(level, None)) is not None:
-            return KForcingResult(k=k, value=c, witness=witness)
+            continue
+        # k_forcing_sets' test, inline: no generator to build and resume per level
+        for mask in subsets_of_size(g.n, c):
+            if is_k_forcing_set(g, mask, k):
+                return KForcingResult(k=k, value=c, witness=mask)
     raise AssertionError("unreachable: the full vertex set always forces")
 
 

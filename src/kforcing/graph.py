@@ -11,6 +11,7 @@ into one int, in the bit order that graph6 and canonical keys share.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterable, Iterator
 
 
@@ -39,8 +40,37 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def subsets_of_size(n: int, c: int) -> Iterator[int]:
+#: Levels of at most this many subsets are kept once built (every level
+#: for n <= 14); larger ones stream, so big scans hold no new memory.
+LEVEL_CAP = 4096
+
+_levels: dict[tuple[int, int], tuple[int, ...]] = {}
+
+
+def subsets_of_size(n: int, c: int) -> Iterable[int]:
     """All c-subsets of 0..n-1 as bitmasks, in colexicographic order.
+
+    A level of at most :data:`LEVEL_CAP` subsets is a tuple built once
+    per process and returned to every later call; a larger level is a
+    fresh iterator, since its masks are not kept. Either way, scans see
+    the same masks in the same order. A negative ``n`` or ``c`` raises
+    ``ValueError``; ``c > n`` gives no subsets.
+    """
+    level = _levels.get((n, c))
+    if level is not None:
+        return level
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    if c < 0:
+        raise ValueError(f"subset size must be non-negative, got {c}")
+    if comb(n, c) > LEVEL_CAP:
+        return _gosper(n, c)
+    level = _levels[n, c] = tuple(_gosper(n, c))
+    return level
+
+
+def _gosper(n: int, c: int) -> Iterator[int]:
+    """The c-subsets of 0..n-1, for 0 <= c, in ascending bitmask order.
 
     Colex order on same-size sets is exactly ascending bitmask order,
     so Gosper's hack enumerates it directly.

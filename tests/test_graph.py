@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -16,7 +17,7 @@ from kforcing import (
     vertices_from,
 )
 from kforcing.families import complete, cycle, path, star
-from kforcing.graph import from_upper_triangle, upper_triangle
+from kforcing.graph import LEVEL_CAP, from_upper_triangle, upper_triangle
 from kforcing.smallgraphs import canonical_graph, canonical_key
 
 from conftest import DATA
@@ -59,12 +60,28 @@ def test_mask_helpers_round_trip():
 
 
 def test_subsets_of_size_is_colex():
-    for n in range(1, 8):
-        for c in range(n + 1):
+    # n = 15 has levels on both sides of the cap: C(15, 7) = 6435 > 4096
+    assert comb(15, 7) > LEVEL_CAP >= comb(14, 7)
+    for n in range(16):
+        for c in range(n + 2):
             got = list(subsets_of_size(n, c))
             want = sorted(mask_from(combo) for combo in combinations(range(n), c))
             assert got == want
     assert list(subsets_of_size(3, 5)) == []
+
+
+def test_subsets_of_size_keeps_only_small_levels():
+    small = subsets_of_size(14, 7)
+    assert isinstance(small, tuple) and subsets_of_size(14, 7) is small
+    large = subsets_of_size(15, 7)
+    assert not isinstance(large, tuple) and subsets_of_size(15, 7) is not large
+    assert sum(1 for _ in large) == comb(15, 7)
+
+
+@pytest.mark.parametrize("n, c, bad", [(3, -1, "-1"), (-2, 1, "-2"), (-1, -1, "-1")])
+def test_subsets_of_size_rejects_negative_sizes(n, c, bad):
+    with pytest.raises(ValueError, match=f"got {bad}$"):
+        subsets_of_size(n, c)
 
 
 def test_components_disjoint_triangles():

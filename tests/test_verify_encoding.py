@@ -101,12 +101,20 @@ def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
                     Fraction(3), False, True),
         BoundReport(7, 2, BoundId.K1R, "upper", True, Fraction(4), 4,
                     Fraction(0), True, True, (("r", 3), ("index", 4))),
+        # signs, slashes and several digits on both sides of the slash
+        BoundReport(7, 2, BoundId.KCOR, "upper", True, Fraction(-1001, 6), 12,
+                    Fraction(-1073, 6), False, False),
+        BoundReport(7, 2, BoundId.GAMMA_LOWER, "lower", True, Fraction(1001, 2),
+                    1000, Fraction(999, 2), False, True),
     ]
     result, encoded = verify_with_reports(monkeypatch, 7, g6, [1, 2], reports)
     assert encoded == reports
     assert_block_matches_oracle(result, reports, g6, 6)
-    assert result[2] == (4, 1, 4)
+    assert result[2] == (6, 1, 4)
     assert result[3] == ["VIOLATION: graph6=EC\\o k=1 bound=RATIO side=upper "
-                         "bound_value=3 exact=4"]
+                         "bound_value=3 exact=4",
+                         "VIOLATION: graph6=EC\\o k=2 bound=KCOR side=upper "
+                         "bound_value=-1001/6 exact=12"]
+    assert '"bound_value": "-1001/6", "exact": 12, "slack": "-1073/6"' in result[1]
     assert '"graph6": "EC\\\\o"' in result[1]
     assert result[4]["equalities"] == "K1R@2:upper"
