@@ -13,7 +13,6 @@ surfaced through ``satisfied=False``, never dropped.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
@@ -52,8 +51,7 @@ class BoundId(enum.Enum):
 ALL_BOUNDS = tuple(BoundId)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One direction of a bound: ``value`` bounds ``exact`` from ``side``."""
 
     side: str  # "upper" | "lower"
@@ -64,8 +62,7 @@ class Check:
     )
 
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """A hypothesis gate and the checks it admits, in report order."""
 
     gate: Callable[[InvariantRecord, int], bool]

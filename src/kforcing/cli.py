@@ -13,10 +13,9 @@ import os
 import random
 import sys
 from contextlib import ExitStack
-from dataclasses import dataclass, fields, replace
 from functools import lru_cache
-from inspect import signature
 from itertools import product
+from typing import NamedTuple
 
 from .bounds import ALL_BOUNDS, BOUNDS, BoundId, BoundReport, evaluate_bounds
 from .families import (
@@ -30,9 +29,9 @@ from .families import (
 from .forcing import is_k_forcing_number, k_forcing_number
 from .graph import Graph, GraphError, degree_profile, vertices_from
 from .graphio import (
+    decode_graph6,
     graph6_order,
     parse_edge_list,
-    parse_graph6,
     write_graph6,
     write_graph6_file,
 )
@@ -55,8 +54,7 @@ EXIT_SCOPE = 3
 JOBS_ENV = "KFORCING_JOBS"
 
 
-@dataclass(frozen=True)
-class CampaignConfig:
+class CampaignConfig(NamedTuple):
     """Resolved settings for one verify or search run.
 
     The field names are both the config-file keys (with '-' for '_') and
@@ -78,7 +76,9 @@ class CampaignConfig:
 
 def _parse_config_file(path: str) -> dict:
     """Read ``key = value`` lines into CampaignConfig field values."""
-    types = {f.name: f.type for f in fields(CampaignConfig)}  # annotation strings
+    # the annotation text, which NamedTuple keeps as a ForwardRef
+    types = {name: ref.__forward_arg__
+             for name, ref in CampaignConfig.__annotations__.items()}
     values: dict = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -114,9 +114,9 @@ def _campaign(args: argparse.Namespace) -> CampaignConfig:
             f"{JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
         ) from None
     if getattr(args, "config", None):
-        cfg = replace(cfg, **_parse_config_file(args.config))
-    flags = {f.name: getattr(args, f.name, None) for f in fields(CampaignConfig)}
-    cfg = replace(cfg, **{key: tuple(value) if isinstance(value, list) else value
+        cfg = cfg._replace(**_parse_config_file(args.config))
+    flags = {name: getattr(args, name, None) for name in CampaignConfig._fields}
+    cfg = cfg._replace(**{key: tuple(value) if isinstance(value, list) else value
                           for key, value in flags.items() if value is not None})
     if not (cfg.input or cfg.spec):
         raise ValueError(f"{args.command} needs --input or --spec")
@@ -177,7 +177,8 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     # each constructor annotates its parameters "int" or "tuple[int, ...]"
-    shapes = [p.annotation for p in signature(FAMILIES[family]).parameters.values()]
+    shapes = [shape for name, shape in FAMILIES[family].__annotations__.items()
+              if name != "return"]
     if len(groups) != len(shapes):
         raise ValueError(
             f"{family} takes {len(shapes)} parameter group(s), got {len(groups)}"
@@ -258,17 +259,18 @@ def _applicable_tail(rep: BoundReport) -> str:
 
 
 def _verify_one(
-    task: tuple[int, str, list[int] | None, tuple[BoundId, ...], int, bool]
+    task: tuple[int, str, int, list[int] | None, tuple[BoundId, ...], int, bool]
 ) -> tuple[int, str, tuple[int, int, int], list[str], dict | None]:
     """Worker: evaluate the configured bounds on one graph.
 
     Returns the graph's finished JSONL block, its (checked, equal,
     not_applicable) counts, its ``VIOLATION:`` lines and its CSV row, which
     reads gamma_c and alpha_1, so it is None unless ``want_row`` is set.
-    ``ks`` None means auto: 1 up to the graph's maximum degree.
+    ``ks`` None means auto: 1 up to the graph's maximum degree. The
+    graph6 string and order ``n`` come from :func:`_load_graphs`, checked.
     """
-    index, g6, ks, ids, max_n, want_row = task
-    g = parse_graph6(g6)
+    index, g6, n, ks, ids, max_n, want_row = task
+    g = decode_graph6(g6, n)
     rec = compute_record(g, max_n=max_n)
     if ks is None:
         ks = _parse_ks("auto", rec.max_degree)
@@ -332,7 +334,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         indexed = [indexed[i] for i in keep]
 
     skipped = [(i, graph) for i, graph in indexed if graph[1] > cfg.max_n]
-    work = [(i, g6, ks, ids, cfg.max_n, bool(cfg.out_csv))
+    work = [(i, g6, n, ks, ids, cfg.max_n, bool(cfg.out_csv))
             for i, (g6, n, _) in indexed if n <= cfg.max_n]
 
     checked = equal = not_applicable = 0
@@ -389,8 +391,7 @@ def _write_csv(fh, rows: list[dict]) -> None:
 
 # -- search -----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EqualitySearchResult:
+class EqualitySearchResult(NamedTuple):
     """Outcome of an equality-case search over a corpus.
 
     Every achiever was re-verified from its serialized graph6 form.
@@ -430,9 +431,9 @@ def search_equality(
 ) -> EqualitySearchResult:
     """Find every connected graph achieving the target equality at k = 1.
 
-    ``graphs`` holds (graph6, n) pairs; each graph in scope is parsed
-    from its graph6 string, so every reported string is the graph that
-    was checked. Every target's exact side is F_1, so an integral bound
+    ``graphs`` holds (graph6, n) pairs as :func:`graphio.graph6_order`
+    returns them; each graph in scope is decoded from its graph6 string,
+    so every reported string is the graph that was checked. Every target's exact side is F_1, so an integral bound
     b is met iff :func:`is_k_forcing_number` finds F_1 = b by two level
     scans; an achiever's ``f1`` then comes from the exact solver, which
     checks the equality a second time by another route.
@@ -450,7 +451,7 @@ def search_equality(
             continue
         if n < 2:
             continue
-        g = parse_graph6(g6)
+        g = decode_graph6(g6, n)
         rec = compute_record(g, max_n)
         if not entry.gate(rec, 1):
             continue
@@ -610,7 +611,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if n > args.max_n:
         raise ExactScopeError(f"n={n} exceeds exact scope cap {args.max_n}")
 
-    g = parse_graph6(g6)
+    g = decode_graph6(g6, n)
     out = {"graph6": g6, "n": g.n, "m": g.m}
     out |= _INVARIANTS[args.invariant](g, args)
     if args.json:

@@ -7,10 +7,9 @@ deterministic: the same spec always yields the same labeled graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Callable
 
-from .graph import Graph, GraphError
+from .graph import Frozen, Graph, GraphError
 
 
 def path(n: int) -> Graph:
@@ -125,8 +124,7 @@ def circulant(n: int, steps: tuple[int, ...]) -> Graph:
     return Graph.from_edges(n, sorted(edges))
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class FamilySpec(Frozen):
     """A family tag plus its positional integer parameters.
 
     ``cycle_tree`` takes one tuple argument (the cycle lengths);
@@ -134,12 +132,15 @@ class FamilySpec:
     takes plain integers.
     """
 
+    __slots__ = ("family", "args")
     family: str
-    args: tuple = field(default_factory=tuple)
+    args: tuple
 
-    def __post_init__(self) -> None:
-        if self.family not in FAMILIES:
-            raise GraphError(f"unknown family {self.family!r}")
+    def __init__(self, family: str, args: tuple = ()) -> None:
+        if family not in FAMILIES:
+            raise GraphError(f"unknown family {family!r}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "args", args)
 
 
 FAMILIES: dict[str, Callable[..., Graph]] = {

@@ -15,14 +15,12 @@ scans that decide F_k = v.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
-from .graph import Graph, GraphError, components, subsets_of_size
+from .graph import Graph, GraphError, subsets_of_size
 
 
-@dataclass(frozen=True)
-class KForcingResult:
+class KForcingResult(NamedTuple):
     """Exact k-forcing number with its colex-first minimum witness."""
 
     k: int
@@ -76,10 +74,11 @@ def k_forcing_number(
     """Exact k-forcing number with a minimum witness.
 
     Levels of :func:`k_forcing_sets` are scanned by increasing size from
-    the component count, since every component needs a vertex of its
-    own; the witness is the colex-first set of the lowest non-empty
-    level. No other lower bound is assumed, so the bounds checked
-    against this value (the minimum-degree one among them) can fail.
+    1; the witness is the colex-first set of the lowest non-empty level.
+    No lower bound is assumed, so the bounds checked against this value
+    (the minimum-degree one among them) can fail. A graph with c
+    components needs a vertex in each, so its levels 1..c-1 all fail,
+    at C(n, i) closures for level i.
     With ``collect_all_minimum`` that whole level is gathered as
     ``all_minimum``, every minimum k-forcing set in colex order.
     """
@@ -87,7 +86,7 @@ def k_forcing_number(
         raise ValueError(f"k must be positive, got {k}")
     if g.n < 1:
         raise GraphError("k-forcing number undefined for the empty graph")
-    for c in range(len(components(g)), g.n + 1):
+    for c in range(1, g.n + 1):
         if collect_all_minimum:
             found = tuple(k_forcing_sets(g, k, c))
             if found:

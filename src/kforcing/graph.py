@@ -10,7 +10,6 @@ into one int, in the bit order that graph6 and canonical keys share.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Iterator
 
@@ -89,8 +88,40 @@ def _gosper(n: int, c: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-@dataclass(frozen=True)
-class Graph:
+class Frozen:
+    """Base of the immutable value objects: the fields named in
+    ``__slots__``, set once through ``object.__setattr__`` on creation,
+    give equality (with an instance of the same class), hash, repr and
+    pickling; assignment raises."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Graph(Frozen):
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     Instances are immutable value objects and safe to share between
@@ -98,30 +129,34 @@ class Graph:
     return new graphs with vertices re-indexed densely.
     """
 
+    __slots__ = ("n", "adj")
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise GraphError(f"negative vertex count {self.n}")
-        if len(self.adj) != self.n:
+    def __init__(self, n: int, adj: tuple[int, ...]) -> None:
+        if n < 0:
+            raise GraphError(f"negative vertex count {n}")
+        if len(adj) != n:
             raise GraphError("adjacency length does not match vertex count")
-        full = self.full_mask
-        for v, nbrs in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, nbrs in enumerate(adj):
             if nbrs & (1 << v):
                 raise GraphError(f"self-loop at vertex {v}")
             if nbrs & ~full:
                 raise GraphError(f"neighbor of {v} out of range")
-        for v in range(self.n):
-            for u in iter_bits(self.adj[v]):
-                if not self.adj[u] & (1 << v):
+        for v in range(n):
+            for u in iter_bits(adj[v]):
+                if not adj[u] & (1 << v):
                     raise GraphError(f"asymmetric edge ({v}, {u})")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", adj)
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
         """A graph from adjacency valid by construction, left unchecked."""
         g = object.__new__(cls)
-        g.__dict__.update(n=n, adj=adj)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
         return g
 
     @staticmethod

@@ -65,12 +65,20 @@ def graph6_order(text: str) -> tuple[str, int]:
     return s, n
 
 
-def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a :class:`Graph`."""
-    s, n = graph6_order(text)
+def decode_graph6(s: str, n: int) -> Graph:
+    """The graph of a (graph6, n) pair that :func:`graph6_order` returned.
+
+    Nothing is checked, so pass only such a pair: another string may
+    decode to a wrong graph or raise ``ValueError``.
+    """
     # the adjacency groups, last first, each bit-reversed: pair 0 lands lowest
     body = s[::-1][:(n * (n - 1) // 2 + 5) // 6]
     return from_upper_triangle(n, int("0" + body.translate(_REVERSED_BITS), 2))
+
+
+def parse_graph6(text: str) -> Graph:
+    """Decode one graph6 line into a :class:`Graph`: check, then decode."""
+    return decode_graph6(*graph6_order(text))
 
 
 def write_graph6(g: Graph) -> str:

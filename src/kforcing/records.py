@@ -11,7 +11,7 @@ it, and is kept for later reads.
 
 from __future__ import annotations
 
-from functools import cache, cached_property
+from functools import cache
 from typing import Callable
 
 from .forcing import k_forcing_number
@@ -42,6 +42,26 @@ class _OnDemand(dict):
         return value
 
 
+class _cached_property:
+    """``functools.cached_property`` as of Python 3.12, without the lock
+    that 3.11 takes on every first read: the first read stores the value
+    in the instance dict, where later reads find it before this
+    (non-data) descriptor is consulted."""
+
+    def __init__(self, compute: Callable[[object], object]):
+        self.compute = compute
+        self.__doc__ = compute.__doc__
+
+    def __set_name__(self, owner: type, name: str) -> None:
+        self.name = name
+
+    def __get__(self, instance, owner: type | None = None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.name] = self.compute(instance)
+        return value
+
+
 class InvariantRecord:
     """Exact invariant values for one graph.
 
@@ -59,19 +79,19 @@ class InvariantRecord:
     # the solver closures capture ``g`` and ``dmax``, not the record, so no
     # record is in a reference cycle
 
-    @cached_property
+    @_cached_property
     def forcing(self) -> _OnDemand:
         # no vertex has over dmax uncolored neighbours: all k >= dmax force alike
         g, dmax = self.graph, max(self.max_degree, 1)
         return _OnDemand(lambda known, k: known[dmax] if k > dmax
                          else k_forcing_number(g, k).value)
 
-    @cached_property
+    @_cached_property
     def gamma_kc(self) -> _OnDemand:
         g = self.graph
         return _OnDemand(lambda known, k: (res := connected_k_domination(g, k)) and res[0])
 
-    @cached_property
+    @_cached_property
     def alpha(self) -> _OnDemand:
         g, dmax = self.graph, max(self.max_degree, 1)
 
@@ -83,30 +103,30 @@ class InvariantRecord:
 
         return _OnDemand(alphas)
 
-    @cached_property
+    @_cached_property
     def k_connected(self) -> _OnDemand:
         g = self.graph
         # one connectivity scan serves every k
         kappa = cache(lambda: vertex_connectivity(g))
         return _OnDemand(lambda known, k: g.n > k and kappa() >= k)
 
-    @cached_property
+    @_cached_property
     def leaf_count(self) -> int:
         return sum(a.bit_count() == 1 for a in self.graph.adj)
 
-    @cached_property
+    @_cached_property
     def degree3_count(self) -> int:
         return sum(a.bit_count() == 3 for a in self.graph.adj)
 
-    @cached_property
+    @_cached_property
     def component_count(self) -> int:
         return len(components(self.graph))
 
-    @cached_property
+    @_cached_property
     def connected(self) -> bool:
         return self.graph.is_connected()
 
-    @cached_property
+    @_cached_property
     def tree(self) -> bool:
         return self.connected and self.m == self.n - 1
 
@@ -114,7 +134,7 @@ class InvariantRecord:
     def gamma_c(self) -> int | None:
         return self.gamma_kc[1]
 
-    @cached_property
+    @_cached_property
     def hamiltonian(self) -> bool:
         return self.n >= 3 and hamiltonian_cycle(self.graph) is not None
 
@@ -122,15 +142,15 @@ class InvariantRecord:
     def chord_count(self) -> int | None:
         return self.m - self.n if self.hamiltonian else None
 
-    @cached_property
+    @_cached_property
     def cycle_tree_q(self) -> int | None:
         return is_cycle_tree(self.graph)[1]
 
-    @cached_property
+    @_cached_property
     def star_free_index(self) -> int:
         return min_star_free_index(self.graph)
 
-    @cached_property
+    @_cached_property
     def path_cover(self) -> int | None:
         return path_cover_number(self.graph)[0] if self.tree else None
 

@@ -2,7 +2,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import fields
 
 import pytest
 
@@ -378,7 +377,7 @@ def test_readme_config_keys_mirror_campaign_fields():
     readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
     listing = readme.split("accepts `--config FILE`", 1)[1].split("(", 1)[1].split(")")[0]
     keys = [part.strip().strip("`") for part in listing.split(",")]
-    assert keys == [f.name.replace("_", "-") for f in fields(CampaignConfig)]
+    assert keys == [name.replace("_", "-") for name in CampaignConfig._fields]
 
 
 def test_verify_sample_is_seed_deterministic(tmp_path):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from kforcing import FamilySpec, GraphError, degree_profile, generate, is_cycle_tree
@@ -100,6 +103,18 @@ def test_generate_dispatch_and_validation():
         generate(FamilySpec("circulant", (8, (5,))))
     with pytest.raises(GraphError):
         generate(FamilySpec("subdivided_star", (3, -1)))
+
+
+def test_family_spec_is_a_value_object():
+    spec = FamilySpec("circulant", (8, (1, 4)))
+    with pytest.raises(AttributeError):
+        spec.args = ()
+    assert repr(spec) == "FamilySpec(family='circulant', args=(8, (1, 4)))"
+    assert FamilySpec("path").args == ()
+    assert spec == FamilySpec("circulant", (8, (1, 4))) != FamilySpec("cycle", (8,))
+    assert hash(spec) == hash(FamilySpec("circulant", (8, (1, 4))))
+    for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec)):
+        assert twin == spec
 
 
 def test_recognizers():

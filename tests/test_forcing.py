@@ -17,6 +17,7 @@ from kforcing import (
 )
 from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
+from kforcing.graph import subsets_of_size
 
 from forcing_oracle import (
     closure,
@@ -247,6 +248,23 @@ def test_component_additivity_explicit():
             for comp in components(g)
         )
         assert k_forcing_number(g, k).value == parts
+
+
+def test_disjoint_unions_keep_value_and_witness(connected_by_n):
+    # the scan starts at level 1, not at the component count; the levels
+    # below the count hold no forcing set, so nothing else may change
+    graphs = [g for n in range(1, 6) for g in connected_by_n[n]]
+    for i, a in enumerate(graphs):
+        for b in graphs[i:]:
+            g = disjoint_union(a, b)
+            for k in range(1, max(degree_profile(g)[0], 1) + 1):
+                res = k_forcing_number(g, k)
+                from_count = next(
+                    (c, mask) for c in range(len(components(g)), g.n + 1)
+                    for mask in subsets_of_size(g.n, c) if is_k_forcing_set(g, mask, k))
+                assert (res.value, res.witness) == from_count
+                assert res.value == (k_forcing_number(a, k).value
+                                     + k_forcing_number(b, k).value)
 
 
 def test_lower_bound_min_degree(connected_upto_6):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from itertools import combinations
 from math import comb
@@ -51,6 +53,37 @@ def test_graph_is_immutable():
     g = path(3)
     with pytest.raises(Exception):
         g.n = 5
+
+
+@pytest.mark.parametrize("n, adj, message", [
+    (-1, (), "negative vertex count -1"),
+    (2, (2,), "adjacency length does not match vertex count"),
+    (1, (1,), "self-loop at vertex 0"),
+    (2, (4, 0), "neighbor of 0 out of range"),
+    (2, (0, 1), "asymmetric edge (1, 0)"),
+])
+def test_validation_messages(n, adj, message):
+    with pytest.raises(GraphError) as info:
+        Graph(n, adj)
+    assert str(info.value) == message
+
+
+def test_graph_is_a_value_object():
+    g = cycle(4)
+    for name in ("n", "adj", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(g, name, 5)
+    with pytest.raises(AttributeError):
+        del g.adj
+    assert (g.n, g.adj) == (4, (10, 5, 10, 5))
+    assert repr(g) == "Graph(n=4, adj=(10, 5, 10, 5))"
+    same = Graph(4, (10, 5, 10, 5))
+    assert g == same and hash(g) == hash(same) and g != path(4)
+    assert g != (4, (10, 5, 10, 5))
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+        assert type(twin) is Graph and twin == g
+        with pytest.raises(AttributeError):
+            twin.n = 5
 
 
 def test_mask_helpers_round_trip():

@@ -10,6 +10,7 @@ from kforcing import (
     write_graph6,
 )
 from kforcing.families import complete, cycle, path
+from kforcing.graphio import decode_graph6
 from kforcing.smallgraphs import all_graphs
 
 from conftest import DATA
@@ -155,6 +156,15 @@ def test_graph6_order_is_parse_then_write_on_corpus():
             assert graph6_order(text) == (write_graph6(parse_graph6(text)), n)
     s = write_graph6(path(63))
     assert graph6_order(s) == (s, 63)
+
+
+def test_decoder_on_checked_lines_of_every_corpus():
+    # what verify and search do: check each line once, decode it later
+    for path_ in sorted(DATA.glob("*.g6")):
+        for line in path_.read_text().splitlines():
+            g = decode_graph6(*graph6_order(line))
+            assert g == parse_graph6(line) == Graph(g.n, g.adj)
+            assert write_graph6(g) == line
 
 
 def test_edge_list_round_trip():

@@ -1,0 +1,76 @@
+"""What the package and each command load.
+
+Each check runs in a fresh ``python -S``, so no site ``.pth`` file can
+load a module first and mask what the package itself imports.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import kforcing
+
+from conftest import DATA
+
+SRC = str(Path(kforcing.__file__).resolve().parent.parent)
+
+
+def loaded_after(code: str) -> set[str]:
+    """The modules a fresh ``python -S`` holds after running ``code``."""
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c",
+         f"{code}\nimport sys\nprint(' '.join(sorted(sys.modules)), file=sys.stderr)"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": SRC},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.split())
+
+
+@pytest.mark.parametrize("code, allowed", [
+    ("import kforcing", set()),
+    # the enumerator, run end to end
+    ("from kforcing.smallgraphs import _main\n"
+     "assert _main(['5', '--connected', '-o', '-']) == 0",
+     {"graph", "graphio", "smallgraphs"}),
+], ids=["import", "enumerate"])
+def test_package_modules_loaded(code, allowed):
+    package = {m for m in loaded_after(code) if m.split(".")[0] == "kforcing"}
+    assert package <= {"kforcing"} | {f"kforcing.{name}" for name in allowed}
+
+
+@pytest.mark.parametrize("code", [
+    "import kforcing.cli",
+    "from kforcing.cli import main\n"
+    f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}]) == 0",
+], ids=["import", "verify"])
+def test_cli_loads_no_dataclasses_or_inspect(code):
+    assert not {"dataclasses", "inspect"} & loaded_after(code)
+
+
+def test_every_public_name_resolves_to_its_defining_module():
+    for name in kforcing.__all__:
+        value = getattr(kforcing, name)
+        module = sys.modules[f"kforcing.{kforcing._SOURCE[name]}"]
+        assert value is vars(module)[name], name
+        if hasattr(value, "__qualname__"):
+            assert value.__module__ == module.__name__, name
+    assert set(kforcing.__all__) <= set(dir(kforcing))
+    assert {"__version__", "__all__"} <= set(dir(kforcing))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        kforcing.no_such_name
+    from kforcing import records  # a submodule, not a public name
+
+    assert records is sys.modules["kforcing.records"]
+
+
+def test_a_rebound_name_is_seen_through_the_package(monkeypatch):
+    import kforcing.graphio
+
+    original = kforcing.parse_graph6
+    monkeypatch.setattr(kforcing.graphio, "parse_graph6", len)
+    assert kforcing.parse_graph6 is len
+    monkeypatch.undo()
+    assert kforcing.parse_graph6 is original

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import kforcing.cli as cli
 from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport
+from kforcing.graphio import graph6_order
 from kforcing.records import DEFAULT_MAX_N
 
 from conftest import DATA
@@ -47,7 +48,8 @@ def verify_with_reports(monkeypatch, index: int, g6: str, ks=None, reports=None)
     real = cli.evaluate_bounds
     with monkeypatch.context() as patch:
         patch.setattr(cli, "evaluate_bounds", evaluate)
-        result = cli._verify_one((index, g6, ks, ALL_BOUNDS, DEFAULT_MAX_N, True))
+        result = cli._verify_one((index, *graph6_order(g6), ks, ALL_BOUNDS,
+                                  DEFAULT_MAX_N, True))
     return result, list(seen)
 
 
