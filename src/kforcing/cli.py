@@ -433,10 +433,11 @@ def search_equality(
 
     ``graphs`` holds (graph6, n) pairs as :func:`graphio.graph6_order`
     returns them; each graph in scope is decoded from its graph6 string,
-    so every reported string is the graph that was checked. Every target's exact side is F_1, so an integral bound
-    b is met iff :func:`is_k_forcing_number` finds F_1 = b by two level
-    scans; an achiever's ``f1`` then comes from the exact solver, which
-    checks the equality a second time by another route.
+    so every reported string is the graph that was checked. Every
+    target's exact side is F_1, so an integral bound b is met iff
+    :func:`is_k_forcing_number` finds F_1 = b by two level scans; an
+    achiever's ``f1`` then comes from the exact solver, which checks the
+    equality a second time by another route.
     """
     if target not in _SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
