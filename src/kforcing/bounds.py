@@ -3,8 +3,8 @@
 :data:`BOUNDS` is the single statement of the bounds: each entry holds a
 gate and one check per direction, all functions of an invariant record
 and the index k. A record computes only the invariants those functions
-read. Bound values are memoized exact rationals, never floored, checked
-in integer arithmetic. A graph failing a gate yields a
+read. Bound values are exact rationals, never floored, held as integer
+pairs and checked in integer arithmetic. A graph failing a gate yields a
 not-applicable report, never a vacuous pass. A violated bound in a
 report signals an implementation bug (all bounds are proven) and is
 surfaced through ``satisfied=False``, never dropped.
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import enum
 from fractions import Fraction
-from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Sequence
 
 from .graph import Graph, GraphError
@@ -55,11 +54,9 @@ class Check(NamedTuple):
     """One direction of a bound: ``value`` bounds ``exact`` from ``side``."""
 
     side: str  # "upper" | "lower"
-    value: Callable[[InvariantRecord, int], Fraction]
+    value: Callable[[InvariantRecord, int], tuple[int, int]]
     exact: Callable[[InvariantRecord, int], int]
-    detail: Callable[[InvariantRecord, int], tuple[tuple[str, int], ...]] = (
-        lambda rec, k: ()
-    )
+    detail: Callable[[InvariantRecord, int], tuple] = lambda rec, k: ()  # (name, int) pairs
 
 
 class Bound(NamedTuple):
@@ -69,10 +66,9 @@ class Bound(NamedTuple):
     checks: tuple[Check, ...]
 
 
-@lru_cache(maxsize=4096)
-def _q(p: int, q: int = 1) -> Fraction:
-    """p/q; a Fraction is immutable, so one instance serves every report."""
-    return Fraction(p, q)
+def _q(p: int, q: int = 1) -> tuple[int, int]:
+    """The bound value p/q as its integer pair; every gated q is positive."""
+    return p, q
 
 
 def _f_k(rec: InvariantRecord, k: int) -> int:
@@ -83,7 +79,7 @@ def _f_1(rec: InvariantRecord, k: int) -> int:
     return rec.forcing[1]
 
 
-def _cor3(rec: InvariantRecord, k: int, less: int = 0) -> Fraction:
+def _cor3(rec: InvariantRecord, k: int, less: int = 0) -> tuple[int, int]:
     d = rec.max_degree
     return _q((d - 2) * rec.n + 2 - less * (d - 1), d - 1)
 
@@ -209,11 +205,6 @@ class BoundReport(NamedTuple):
     detail: tuple[tuple[str, int], ...] = ()
 
 
-# a report from a tuple of all its fields: tuple.__new__ is what BoundReport()
-# and BoundReport._make call, less their Python-level frame
-_report = partial(tuple.__new__, BoundReport)
-
-
 def bound_value(
     bound: BoundId, g: Graph, k: int, rec: InvariantRecord, side: str | None = None
 ) -> Fraction | None:
@@ -229,8 +220,33 @@ def bound_value(
         return None
     for check in entry.checks:
         if side is None or check.side == side:
-            return check.value(rec, k)
+            return Fraction(*check.value(rec, k))
     return None
+
+
+def bound_outcomes(
+    rec: InvariantRecord, ks: Sequence[int], ids: Sequence[BoundId] = ALL_BOUNDS
+) -> list[tuple]:
+    """Each check's outcome in integers, for each k in turn, in ``ids`` order.
+
+    Not applicable: ``(k, bound, side)``, the side of the entry's last check.
+    Applicable: ``(k, bound, side, p, q, exact, d, detail)``, whose bound
+    value is p/q (q > 0, not always in lowest terms) and d = q * slack.
+    """
+    entries = [(bound, BOUNDS[bound]) for bound in ids]
+    outcomes = []
+    for k in ks:
+        for bound, entry in entries:
+            if not entry.gate(rec, k):
+                outcomes.append((k, bound, entry.checks[-1].side))
+                continue
+            for side, value, exact, detail in entry.checks:
+                p, q = value(rec, k)
+                x = exact(rec, k)
+                outcomes.append((k, bound, side, p, q, x,
+                                 p - x * q if side == "upper" else x * q - p,
+                                 detail(rec, k)))
+    return outcomes
 
 
 def evaluate_bounds(
@@ -240,30 +256,22 @@ def evaluate_bounds(
     graph_id: str | int | None = None,
     rec: InvariantRecord | None = None,
 ) -> list[BoundReport]:
-    """Evaluate bounds against exact values; one report per check.
+    """Evaluate bounds against exact values: one report per check, holding
+    its :func:`bound_outcomes` outcome with the rationals as ``Fraction``s.
 
     Reports come out sorted by k, then bound id (declaration order),
-    then side. TREE_LEAF contributes a lower and an upper report; a
-    not-applicable report takes the side of the entry's last check.
+    then side; TREE_LEAF contributes a lower and an upper report.
     """
     if any(k < 1 for k in ks):
         raise ValueError(f"forcing indices must be positive: {tuple(ks)}")
     if rec is None:
         rec = compute_record(g)
-    entries = [(bound, BOUNDS[bound]) for bound in ids]
     reports = []
-    for k in sorted(set(ks)):
-        for bound, entry in entries:
-            if not entry.gate(rec, k):
-                reports.append(_report((graph_id, k, bound, entry.checks[-1].side,
-                                        False, None, None, None, None, None, ())))
-                continue
-            for check in entry.checks:
-                value, exact = check.value(rec, k), check.exact(rec, k)
-                p, q = value.as_integer_ratio()
-                d = p - exact * q if check.side == "upper" else exact * q - p
-                reports.append(_report((
-                    graph_id, k, bound, check.side, True, value, exact,
-                    _q(d, q), d == 0, d >= 0, check.detail(rec, k),
-                )))
+    for k, bound, side, *checked in bound_outcomes(rec, sorted(set(ks)), ids):
+        if not checked:
+            reports.append(BoundReport(graph_id, k, bound, side, False))
+            continue
+        p, q, exact, d, detail = checked
+        reports.append(BoundReport(graph_id, k, bound, side, True, Fraction(p, q),
+                                   exact, Fraction(d, q), d == 0, d >= 0, detail))
     return reports

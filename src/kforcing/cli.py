@@ -13,19 +13,11 @@ import os
 import random
 import sys
 from contextlib import ExitStack
-from functools import lru_cache
+from fractions import Fraction
 from itertools import product
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .bounds import ALL_BOUNDS, BOUNDS, BoundId, BoundReport, evaluate_bounds
-from .families import (
-    FAMILIES,
-    FamilySpec,
-    complete_bipartite_parts,
-    generate,
-    is_complete_graph,
-    is_cycle_graph,
-)
+from .bounds import ALL_BOUNDS, BOUNDS, BoundId, bound_outcomes
 from .forcing import is_k_forcing_number, k_forcing_number
 from .graph import Graph, GraphError, degree_profile, vertices_from
 from .graphio import (
@@ -45,6 +37,9 @@ from .invariants import (
     path_cover_number,
 )
 from .records import DEFAULT_MAX_N, compute_record
+
+if TYPE_CHECKING:  # families loads only where --spec, gen or search reads it
+    from .families import FamilySpec
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -142,8 +137,11 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
                 built.append((parse_edge_list(fh.read()), origin))
         else:
             raise ValueError(f"unknown format {cfg.format!r}")
-    built += [(generate(fs), f"spec={spec}")
-              for spec in cfg.spec for fs in expand_family_spec(spec)]
+    if cfg.spec:
+        from .families import generate
+
+        built += [(generate(fs), f"spec={spec}")
+                  for spec in cfg.spec for fs in expand_family_spec(spec)]
     return graphs + [(write_graph6(g) if g.n <= cfg.max_n else None, g.n, origin)
                      for g, origin in built]
 
@@ -172,6 +170,8 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     parameters (cycle lengths, circulant steps) take the whole comma
     group as the value, with ranges product-expanded.
     """
+    from .families import FAMILIES, FamilySpec
+
     head, *groups = text.split(":")
     family = head.strip()
     if family not in FAMILIES:
@@ -227,35 +227,21 @@ def _parse_bounds(text: str) -> tuple[BoundId, ...]:
 _BOUND_NAMES = {bound: bound.value for bound in BoundId}
 
 
-@lru_cache(maxsize=1024)
-def _not_applicable_tail(k: int, bound: BoundId, side: str) -> str:
-    """A not-applicable report's JSONL line after its graph's prefix."""
-    return json.dumps({
-        "k": k, "bound": _BOUND_NAMES[bound], "side": side, "applicable": False,
-        "bound_value": None, "exact": None, "slack": None, "equality": None,
-        "satisfied": None, "detail": {},
-    })[1:] + "\n"
+def _tail(outcome: tuple) -> str:
+    """A :func:`bound_outcomes` outcome's JSONL line after its graph's prefix."""
+    k, bound, side, *checked = outcome
+    line = {"k": k, "bound": _BOUND_NAMES[bound], "side": side,
+            "applicable": bool(checked), "bound_value": None, "exact": None,
+            "slack": None, "equality": None, "satisfied": None, "detail": {}}
+    if checked:
+        p, q, exact, d, detail = checked
+        line |= {"bound_value": str(Fraction(p, q)), "exact": exact,
+                 "slack": str(Fraction(d, q)), "equality": d == 0,
+                 "satisfied": d >= 0, "detail": dict(detail)}
+    return json.dumps(line)[1:] + "\n"
 
 
-def _applicable_tail(rep: BoundReport) -> str:
-    """An applicable report's JSONL line after its graph's prefix.
-
-    Formats the fields json.dumps would: the bound id, side and rationals
-    hold no character JSON escapes, and the detail values are ints. A
-    rational p/q prints as ``str(Fraction)`` does: ``p`` when q is 1.
-    """
-    p, q = rep.bound_value.as_integer_ratio()
-    sp, sq = rep.slack.as_integer_ratio()
-    detail = ", ".join(
-        f'"{name}": {value}' for name, value in rep.detail) if rep.detail else ""
-    return (
-        f'"k": {rep.k}, "bound": "{_BOUND_NAMES[rep.bound]}", "side": "{rep.side}", '
-        f'"applicable": true, "bound_value": "{p if q == 1 else f"{p}/{q}"}", '
-        f'"exact": {rep.exact_value}, "slack": "{sp if sq == 1 else f"{sp}/{sq}"}", '
-        f'"equality": {"true" if rep.equality else "false"}, '
-        f'"satisfied": {"true" if rep.satisfied else "false"}, '
-        f'"detail": {{{detail}}}}}\n'
-    )
+_TAILS: dict[tuple, str] = {}  # outcome -> _tail(outcome), filled per process
 
 
 def _verify_one(
@@ -274,26 +260,28 @@ def _verify_one(
     rec = compute_record(g, max_n=max_n)
     if ks is None:
         ks = _parse_ks("auto", rec.max_degree)
-    reports = evaluate_bounds(g, ks, ids, graph_id=index, rec=rec)
+    outcomes = bound_outcomes(rec, ks, ids)
     prefix = json.dumps({"index": index, "graph6": g6, "n": g.n})[:-1] + ", "
     tails = []
     equalities = []
     violations = []
     not_applicable = 0
-    for rep in reports:
-        if not rep.applicable:
+    for outcome in outcomes:
+        tail = _TAILS.get(outcome)
+        if tail is None:
+            tail = _TAILS[outcome] = _tail(outcome)
+        tails.append(tail)
+        if len(outcome) == 3:
             not_applicable += 1
-            tails.append(_not_applicable_tail(rep.k, rep.bound, rep.side))
-            continue
-        tails.append(_applicable_tail(rep))
-        if rep.equality:
-            equalities.append(f"{_BOUND_NAMES[rep.bound]}@{rep.k}:{rep.side}")
-        if not rep.satisfied:
-            violations.append(
-                f"VIOLATION: graph6={g6} k={rep.k} bound={_BOUND_NAMES[rep.bound]} "
-                f"side={rep.side} bound_value={rep.bound_value!s} exact={rep.exact_value}"
-            )
-    counts = (len(reports) - not_applicable, len(equalities), not_applicable)
+        elif outcome[6] <= 0:
+            k, bound, side, p, q, exact, d, _ = outcome
+            if d == 0:
+                equalities.append(f"{_BOUND_NAMES[bound]}@{k}:{side}")
+            else:
+                violations.append(
+                    f"VIOLATION: graph6={g6} k={k} bound={_BOUND_NAMES[bound]} "
+                    f"side={side} bound_value={Fraction(p, q)} exact={exact}")
+    counts = (len(outcomes) - not_applicable, len(equalities), not_applicable)
     row = None if not want_row else {
         "index": index,
         "graph6": g6,
@@ -406,6 +394,8 @@ class EqualitySearchResult(NamedTuple):
 
 
 def _classify_achiever(g: Graph) -> str:
+    from .families import complete_bipartite_parts, is_complete_graph, is_cycle_graph
+
     dmax = max(g.degree(v) for v in range(g.n))
     if is_complete_graph(g) and g.n == dmax + 1:
         return "complete"
@@ -456,8 +446,8 @@ def search_equality(
         rec = compute_record(g, max_n)
         if not entry.gate(rec, 1):
             continue
-        value = check.value(rec, 1)  # a non-integral bound needs no scan
-        if value.denominator != 1 or not is_k_forcing_number(g, 1, int(value)):
+        value, rest = divmod(*check.value(rec, 1))  # p/q with q > 0
+        if rest or not is_k_forcing_number(g, 1, value):  # no scan if not integral
             continue
         f1 = rec.forcing[1]
         if f1 != value:
@@ -626,6 +616,8 @@ def cmd_compute(args: argparse.Namespace) -> int:
 # -- gen ---------------------------------------------------------------------
 
 def cmd_gen(args: argparse.Namespace) -> int:
+    from .families import generate
+
     specs = [fs for text in args.specs for fs in expand_family_spec(text)]
     write_graph6_file(args.out, [generate(fs) for fs in specs])
     return EXIT_OK

@@ -520,21 +520,20 @@ def test_compute_record_prints_the_forcing_indices_bounds_read(capsys):
 
 
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
-    # a violated bound cannot arise from correct code, so fake one report per
+    # a violated bound cannot arise from correct code, so fake one outcome per
     # graph to pin the loud-failure contract: summary, stdout line, exit 1
-    from fractions import Fraction
-
     import kforcing.cli as cli
 
-    real = cli.evaluate_bounds
+    real = cli.bound_outcomes
 
     def sabotage(*args, **kwargs):
-        reports = real(*args, **kwargs)
-        i = next(i for i, rep in enumerate(reports) if rep.applicable)
-        reports[i] = reports[i]._replace(satisfied=False, slack=Fraction(-1))
-        return reports
+        outcomes = real(*args, **kwargs)
+        i = next(i for i, outcome in enumerate(outcomes) if len(outcome) > 3)
+        k, bound, side, p, q, exact, _, detail = outcomes[i]
+        outcomes[i] = (k, bound, side, p, q, exact, -q, detail)  # slack -1
+        return outcomes
 
-    monkeypatch.setattr(cli, "evaluate_bounds", sabotage)
+    monkeypatch.setattr(cli, "bound_outcomes", sabotage)
     out = tmp_path / "v.jsonl"
     code = main(["verify", "--input", str(DATA / "connected_3.g6"),
                  "--jobs", "1", "--out-jsonl", str(out)])

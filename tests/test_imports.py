@@ -35,7 +35,11 @@ def loaded_after(code: str) -> set[str]:
     ("from kforcing.smallgraphs import _main\n"
      "assert _main(['5', '--connected', '-o', '-']) == 0",
      {"graph", "graphio", "smallgraphs"}),
-], ids=["import", "enumerate"])
+    # verify over a file: no families, which only --spec, gen and search read
+    ("from kforcing.cli import main\n"
+     f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}]) == 0",
+     {"bounds", "cli", "forcing", "graph", "graphio", "invariants", "records"}),
+], ids=["import", "enumerate", "verify"])
 def test_package_modules_loaded(code, allowed):
     package = {m for m in loaded_after(code) if m.split(".")[0] == "kforcing"}
     assert package <= {"kforcing"} | {f"kforcing.{name}" for name in allowed}

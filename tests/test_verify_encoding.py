@@ -1,15 +1,21 @@
 """verify's JSONL block, encoded by the worker, against a per-report oracle.
 
 The oracle is the encoder verify used before workers wrote their own
-text: one dict per report, passed through json.dumps.
+text: one dict per :func:`evaluate_bounds` report, passed through
+json.dumps. The worker instead reads :func:`bound_outcomes` and looks each
+line up in a per-process memo, so the oracle reports are computed apart,
+on a fresh record.
 """
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import kforcing.cli as cli
-from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport
-from kforcing.graphio import graph6_order
+from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport, evaluate_bounds
+from kforcing.graphio import graph6_order, parse_graph6
 from kforcing.records import DEFAULT_MAX_N
 
 from conftest import DATA
@@ -34,20 +40,20 @@ def report_line_oracle(index: int, g6: str, n: int, rep: BoundReport) -> str:
     }) + "\n"
 
 
-def verify_with_reports(monkeypatch, index: int, g6: str, ks=None, reports=None):
-    """Run the worker on one graph; return its result and the reports it encoded.
+def verify_with_outcomes(monkeypatch, index: int, g6: str, ks=None, outcomes=None):
+    """Run the worker on one graph; return its result and the outcomes it encoded.
 
-    ``reports``, when given, replaces what evaluate_bounds returns.
+    ``outcomes``, when given, replaces what bound_outcomes returns.
     """
     seen = []
 
-    def evaluate(*args, **kwargs):
-        seen[:] = real(*args, **kwargs) if reports is None else reports
+    def outcomes_of(*args, **kwargs):
+        seen[:] = real(*args, **kwargs) if outcomes is None else outcomes
         return seen
 
-    real = cli.evaluate_bounds
+    real = cli.bound_outcomes
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "evaluate_bounds", evaluate)
+        patch.setattr(cli, "bound_outcomes", outcomes_of)
         result = cli._verify_one((index, *graph6_order(g6), ks, ALL_BOUNDS,
                                   DEFAULT_MAX_N, True))
     return result, list(seen)
@@ -66,12 +72,23 @@ def assert_block_matches_oracle(result, reports, g6: str, n: int):
     ]
 
 
+def assert_worker_matches_oracle(monkeypatch, index: int, g6: str):
+    """The worker's block equals the oracle of evaluate_bounds' own reports."""
+    g = parse_graph6(g6)
+    ks = range(1, max(max(g.degree(v) for v in range(g.n)), 1) + 1)
+    reports = evaluate_bounds(g, ks, graph_id=index)
+    result, outcomes = verify_with_outcomes(monkeypatch, index, g6)
+    assert [outcome[:3] for outcome in outcomes] == [
+        (rep.k, rep.bound, rep.side) for rep in reports]
+    assert_block_matches_oracle(result, reports, g6, g.n)
+    return reports
+
+
 def test_block_matches_oracle_on_connected_graphs_upto_6(monkeypatch):
     index = 0
     for n in range(1, 7):
         for g6 in (DATA / f"connected_{n}.g6").read_text().split():
-            result, reports = verify_with_reports(monkeypatch, index, g6)
-            assert_block_matches_oracle(result, reports, g6, n)
+            assert_worker_matches_oracle(monkeypatch, index, g6)
             index += 1
 
 
@@ -80,8 +97,7 @@ def test_block_matches_oracle_on_family_sweep(monkeypatch):
     specs = ["cycle_tree:3..4,3..4", "circulant:8:1,2..3", "complete:2..6",
              "cycle:3..8", "subdivided_star:3:2"]
     for index, (g6, n, _) in enumerate(cli._load_graphs(cli.CampaignConfig(spec=specs))):
-        result, reports = verify_with_reports(monkeypatch, index, g6)
-        assert_block_matches_oracle(result, reports, g6, n)
+        reports = assert_worker_matches_oracle(monkeypatch, index, g6)
         detailed |= {rep.bound for rep in reports if rep.detail}
     assert {BoundId.K1R, BoundId.CLAWFREE, BoundId.CYCLE_TREE} <= detailed
 
@@ -89,30 +105,47 @@ def test_block_matches_oracle_on_family_sweep(monkeypatch):
 def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
     g6 = "EC\\o"  # JSON escapes the backslash
     assert g6 in (DATA / "connected_6.g6").read_text().split()
-    reports = [
+    # each outcome beside the report evaluate_bounds makes of it
+    cases = [
         # the not-applicable tail depends on k, bound and side alike
-        BoundReport(7, 1, BoundId.TREE_LEAF, "lower", False),
-        BoundReport(7, 1, BoundId.TREE_LEAF, "upper", False),
-        BoundReport(7, 2, BoundId.TREE_LEAF, "upper", False),
-        BoundReport(7, 2, BoundId.TREE_COR, "upper", False),
-        BoundReport(7, 1, BoundId.MAIN, "upper", True, Fraction(7, 2), 3,
-                    Fraction(1, 2), False, True),
-        BoundReport(7, 1, BoundId.RATIO, "upper", True, Fraction(3), 4,
-                    Fraction(-1), False, False),
-        BoundReport(7, 2, BoundId.LOWER_DEG, "lower", True, Fraction(-2), 1,
-                    Fraction(3), False, True),
-        BoundReport(7, 2, BoundId.K1R, "upper", True, Fraction(4), 4,
-                    Fraction(0), True, True, (("r", 3), ("index", 4))),
+        ((1, BoundId.TREE_LEAF, "lower"),
+         BoundReport(7, 1, BoundId.TREE_LEAF, "lower", False)),
+        ((1, BoundId.TREE_LEAF, "upper"),
+         BoundReport(7, 1, BoundId.TREE_LEAF, "upper", False)),
+        ((2, BoundId.TREE_LEAF, "upper"),
+         BoundReport(7, 2, BoundId.TREE_LEAF, "upper", False)),
+        ((2, BoundId.TREE_COR, "upper"),
+         BoundReport(7, 2, BoundId.TREE_COR, "upper", False)),
+        ((1, BoundId.MAIN, "upper", 7, 2, 3, 1, ()),
+         BoundReport(7, 1, BoundId.MAIN, "upper", True, Fraction(7, 2), 3,
+                     Fraction(1, 2), False, True)),
+        ((1, BoundId.RATIO, "upper", 3, 1, 4, -1, ()),
+         BoundReport(7, 1, BoundId.RATIO, "upper", True, Fraction(3), 4,
+                     Fraction(-1), False, False)),
+        ((2, BoundId.LOWER_DEG, "lower", -2, 1, 1, 3, ()),
+         BoundReport(7, 2, BoundId.LOWER_DEG, "lower", True, Fraction(-2), 1,
+                     Fraction(3), False, True)),
+        ((2, BoundId.K1R, "upper", 4, 1, 4, 0, (("r", 3), ("index", 4))),
+         BoundReport(7, 2, BoundId.K1R, "upper", True, Fraction(4), 4,
+                     Fraction(0), True, True, (("r", 3), ("index", 4)))),
         # signs, slashes and several digits on both sides of the slash
-        BoundReport(7, 2, BoundId.KCOR, "upper", True, Fraction(-1001, 6), 12,
-                    Fraction(-1073, 6), False, False),
-        BoundReport(7, 2, BoundId.GAMMA_LOWER, "lower", True, Fraction(1001, 2),
-                    1000, Fraction(999, 2), False, True),
+        ((2, BoundId.KCOR, "upper", -1001, 6, 12, -1073, ()),
+         BoundReport(7, 2, BoundId.KCOR, "upper", True, Fraction(-1001, 6), 12,
+                     Fraction(-1073, 6), False, False)),
+        ((2, BoundId.GAMMA_LOWER, "lower", 1001, 2, 1000, 999, ()),
+         BoundReport(7, 2, BoundId.GAMMA_LOWER, "lower", True, Fraction(1001, 2),
+                     1000, Fraction(999, 2), False, True)),
+        # a pair not in lowest terms prints reduced, as its Fraction does
+        ((1, BoundId.COR3, "upper", 14, 4, 3, 2, ()),
+         BoundReport(7, 1, BoundId.COR3, "upper", True, Fraction(7, 2), 3,
+                     Fraction(1, 2), False, True)),
     ]
-    result, encoded = verify_with_reports(monkeypatch, 7, g6, [1, 2], reports)
-    assert encoded == reports
+    outcomes = [outcome for outcome, _ in cases]
+    reports = [rep for _, rep in cases]
+    result, encoded = verify_with_outcomes(monkeypatch, 7, g6, [1, 2], outcomes)
+    assert encoded == outcomes
     assert_block_matches_oracle(result, reports, g6, 6)
-    assert result[2] == (6, 1, 4)
+    assert result[2] == (7, 1, 4)
     assert result[3] == ["VIOLATION: graph6=EC\\o k=1 bound=RATIO side=upper "
                          "bound_value=3 exact=4",
                          "VIOLATION: graph6=EC\\o k=2 bound=KCOR side=upper "
@@ -120,3 +153,58 @@ def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
     assert '"bound_value": "-1001/6", "exact": 12, "slack": "-1073/6"' in result[1]
     assert '"graph6": "EC\\\\o"' in result[1]
     assert result[4]["equalities"] == "K1R@2:upper"
+
+
+def line_of(outcome: tuple) -> dict:
+    """The fields a memo tail writes for ``outcome``, decoded."""
+    return json.loads("{" + cli._tail(outcome))
+
+
+def test_rationals_print_as_their_fractions():
+    for q in range(1, 25):
+        for p in range(-60, 61):
+            line = line_of((1, BoundId.MAIN, "upper", p, q, 0, p, ()))
+            assert line["bound_value"] == line["slack"] == str(Fraction(p, q)), (p, q)
+
+
+def test_new_key_lines_agree_in_sign_with_their_fractions(monkeypatch):
+    outcomes = []
+    for side in ("upper", "lower"):
+        for q in range(1, 5):
+            for p in range(-7, 8):
+                for exact in range(-3, 4):
+                    d = p - exact * q if side == "upper" else exact * q - p
+                    outcomes.append((97, BoundId.MAIN, side, p, q, exact, d, ()))
+    monkeypatch.setattr(cli, "_TAILS", {})
+    result, _ = verify_with_outcomes(monkeypatch, 0, "Bw", [97], outcomes)
+    assert set(outcomes) <= cli._TAILS.keys()
+    lines = [json.loads(text) for text in result[1].splitlines()]
+    assert len(lines) == len(outcomes)
+    for (_, _, side, p, q, exact, _, _), line in zip(outcomes, lines):
+        slack = Fraction(p, q) - exact if side == "upper" else exact - Fraction(p, q)
+        assert Fraction(line["slack"]) == slack
+        assert Fraction(line["bound_value"]) == Fraction(p, q)
+        assert line["satisfied"] == (slack >= 0)
+        assert line["equality"] == (slack == 0)
+    assert len(result[3]) == sum(not line["satisfied"] for line in lines)
+
+
+def test_warm_memo_writes_what_a_cold_process_writes(tmp_path, monkeypatch, capsys):
+    args = ["verify", "-i", str(DATA / "connected_7.g6"), "--jobs", "1"]
+    pythonpath = os.pathsep.join(
+        p for p in (str(DATA.parent / "src"), os.environ.get("PYTHONPATH")) if p
+    )
+    cold = tmp_path / "cold.jsonl"
+    proc = subprocess.run(
+        [sys.executable, "-m", "kforcing", *args, "--out-jsonl", str(cold)],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
+    )
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.setattr(cli, "_TAILS", {})
+    runs = []
+    for name in ("first.jsonl", "warm.jsonl"):
+        assert cli.main([*args, "--out-jsonl", str(tmp_path / name)]) == 0
+        runs.append((tmp_path / name).read_bytes())
+        assert capsys.readouterr().out == proc.stdout
+    assert 500 < len(cli._TAILS) < 1000
+    assert runs[0] == runs[1] == cold.read_bytes()
