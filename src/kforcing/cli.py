@@ -12,10 +12,10 @@ import json
 import os
 import random
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, closing
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 from .bounds import ALL_BOUNDS, BOUNDS, BoundId, bound_outcomes
 from .forcing import is_k_forcing_number, k_forcing_number
@@ -297,6 +297,70 @@ def _verify_one(
     return index, prefix + prefix.join(tails), counts, violations, row
 
 
+def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
+    """``map(_verify_one, work)`` run by ``jobs`` processes, this one included.
+
+    Chunk i of 8 tasks runs in process i % jobs; process 0 is this one and
+    the others are forked up front. A child appends each chunk's pickled
+    results, with a task's exception in its result's place, to a spool file
+    and writes the record's length to its pipe. This process yields in
+    input order, reading a child's record with ``os.pread``, and holds one
+    chunk at a time. Without ``os.fork`` it runs every chunk alone. On any
+    exit it kills and reaps the children.
+    """
+    import pickle
+    import signal
+    import tempfile
+
+    chunks = [work[i:i + 8] for i in range(0, len(work), 8)]
+    procs = min(jobs, len(chunks)) if hasattr(os, "fork") else 1
+    children = []  # (pid, pipe read end, spool) of processes 1, 2, ...
+    try:
+        for p in range(1, procs):
+            spool = tempfile.TemporaryFile()
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the child never prints and skips exit handlers
+                try:
+                    for chunk in chunks[p::procs]:
+                        results = []
+                        try:
+                            for task in chunk:
+                                results.append(_verify_one(task))
+                        except BaseException as exc:
+                            results.append(exc)
+                        spool.write(record := pickle.dumps(results))
+                        spool.flush()
+                        os.write(w, len(record).to_bytes(8, "little"))
+                finally:
+                    os._exit(0)
+            os.close(w)
+            children.append((pid, r, spool))
+        offsets = [0] * procs  # how far each child's spool has been read
+        for i, chunk in enumerate(chunks):
+            p = i % procs
+            if p == 0:
+                yield from map(_verify_one, chunk)
+                continue
+            pid, r, spool = children[p - 1]
+            size = int.from_bytes(os.read(r, 8), "little")  # 0 once the child is gone
+            if not size:
+                raise ChildProcessError(
+                    f"verify worker {p} (pid {pid}) exited without a result")
+            record = os.pread(spool.fileno(), size, offsets[p])
+            offsets[p] += size
+            for result in pickle.loads(record):
+                if isinstance(result, BaseException):
+                    raise result
+                yield result
+    finally:
+        for pid, r, spool in children:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(r)
+            spool.close()
+
+
 def _open_output(stack: ExitStack, path: str | None, **kwargs):
     """``path`` opened for writing until ``stack`` closes, or None if unset."""
     return path and stack.enter_context(open(path, "w", encoding="utf-8", **kwargs))
@@ -332,12 +396,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
         jsonl = _open_output(stack, cfg.out_jsonl)
         csv = _open_output(stack, cfg.out_csv, newline="")
         results = map(_verify_one, work)
-        if cfg.jobs > 1 and len(work) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(ProcessPoolExecutor(max_workers=cfg.jobs))
-            results = pool.map(_verify_one, work, chunksize=8)
-        # both maps yield in input order: write each graph's block as it lands
+        if cfg.jobs > 1:
+            results = stack.enter_context(closing(_verify_forked(work, cfg.jobs)))
+        # both yield in input order: write each graph's block as it lands
         for _, text, (n_checked, n_equal, n_not_applicable), found, row in results:
             checked += n_checked
             equal += n_equal

@@ -337,6 +337,30 @@ def test_verify_cycle_tree_q_sweep(tmp_path):
     assert "skipped=" in proc.stdout and "skipped (n over scope cap" in proc.stdout
 
 
+@pytest.mark.parametrize("corpus", ["connected_6", "trees_8"])
+def test_verify_above_max_degree_has_no_violation(corpus, tmp_path, capsys):
+    # at k > D every vertex set is k-independent, so n - alpha_k is 0:
+    # the star-freeness bounds are gated on D >= k, as MAIN is
+    auto, wide = tmp_path / "auto.jsonl", tmp_path / "wide.jsonl"
+    source = ["verify", "-i", str(DATA / f"{corpus}.g6"), "--jobs", "1"]
+    assert main([*source, "--out-jsonl", str(auto)]) == 0
+    assert main([*source, "--k", "1..12", "--out-jsonl", str(wide)]) == 0
+    assert "violations=0" in capsys.readouterr().out
+    max_degree = {}
+    kept = []
+    for text in wide.read_text().splitlines(keepends=True):
+        line = json.loads(text)
+        if line["index"] not in max_degree:
+            g = parse_graph6(line["graph6"])
+            max_degree[line["index"]] = max(g.degree(v) for v in range(g.n))
+        if line["k"] <= max_degree[line["index"]]:
+            kept.append(text)
+        elif line["bound"] in ("K1R", "CLAWFREE"):
+            assert not line["applicable"]
+    # the lines at k <= D are the auto-k output, which tests/test_golden.py pins
+    assert "".join(kept) == auto.read_text()
+
+
 def test_verify_tree_corpus_leaf_bounds(tmp_path):
     out = tmp_path / "t.jsonl"
     proc = run_cli("verify", "--input", str(DATA / "trees_10.g6"),
@@ -567,31 +591,31 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     assert proc.returncode == 0
     assert out.exists()
 
-    # in process: the pool really gets the worker count from the environment,
-    # and an explicit --jobs overrides it
-    import concurrent.futures
+    # in process: the forked runner really gets the worker count from the
+    # environment, and an explicit --jobs overrides it
+    from kforcing import cli
 
-    pools = []
+    runs = []
+    forked = cli._verify_forked
 
-    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            pools.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+    def recording(work, jobs):
+        runs.append(jobs)
+        return forked(work, jobs)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_verify_forked", recording)
     monkeypatch.setenv("KFORCING_JOBS", "2")
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--out-jsonl", str(tmp_path / "env.jsonl")]) == 0
-    assert pools == [2]
+    assert runs == [2]
 
-    pools.clear()
+    runs.clear()
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--jobs", "1", "--out-jsonl", str(tmp_path / "one.jsonl")]) == 0
-    assert pools == []
+    assert runs == []
 
 
 def test_import_loads_no_process_pool():
-    # only verify --jobs > 1 imports the pool, so serial commands start faster
+    # no command loads a process pool, so every command starts faster
     proc = subprocess.run(
         [sys.executable, "-c",
          "import sys, kforcing.cli; print('concurrent.futures' in sys.modules)"],

@@ -54,6 +54,14 @@ def test_cli_loads_no_dataclasses_or_inspect(code):
     assert not {"dataclasses", "inspect"} & loaded_after(code)
 
 
+def test_verify_with_workers_loads_no_process_pool():
+    # --jobs 2 forks its workers itself
+    loaded = loaded_after(
+        "from kforcing.cli import main\n"
+        f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}, '--jobs', '2']) == 0")
+    assert not {"concurrent.futures", "multiprocessing"} & loaded
+
+
 def test_every_public_name_resolves_to_its_defining_module():
     for name in kforcing.__all__:
         value = getattr(kforcing, name)
