@@ -15,13 +15,15 @@ import sys
 from contextlib import ExitStack, closing
 from fractions import Fraction
 from itertools import product
-from typing import TYPE_CHECKING, Iterator, NamedTuple
+from operator import itemgetter
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
 
 from .bounds import ALL_BOUNDS, BOUNDS, BoundId, bound_outcomes
 from .forcing import is_k_forcing_number, k_forcing_number
 from .graph import Graph, GraphError, degree_profile, vertices_from
 from .graphio import (
     decode_graph6,
+    graph6_lines,
     graph6_order,
     parse_edge_list,
     write_graph6,
@@ -121,17 +123,18 @@ def _campaign(args: argparse.Namespace) -> CampaignConfig:
 def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
     """Return (graph6, n, origin) triples from the configured source.
 
-    graph6 lines are syntax-checked but not parsed; callers parse the
-    graphs they use. Encoding is quadratic in n, so an edge-list or spec
-    graph over ``cfg.max_n`` is not encoded: its graph6 is None, and
-    ``origin`` names the file or spec it came from.
+    Every graph6 line is syntax-checked before this returns, but none is
+    parsed; callers parse the graphs they use. Encoding is quadratic in
+    n, so an edge-list or spec graph over ``cfg.max_n`` is not encoded:
+    its graph6 is None, and ``origin`` names the file or spec it came
+    from.
     """
     graphs, built = [], []
     if cfg.input:
         origin = f"input={cfg.input}"
         if cfg.format == "g6":
             with open(cfg.input, encoding="ascii") as fh:
-                graphs = [(*graph6_order(line), origin) for line in fh if line.strip()]
+                graphs = [(g6, n, origin) for g6, n in graph6_lines(fh.read())]
         elif cfg.format == "edges":
             with open(cfg.input, encoding="utf-8") as fh:
                 built.append((parse_edge_list(fh.read()), origin))
@@ -153,13 +156,20 @@ def _graph_name(g6: str | None, n: int, origin: str) -> str:
 
 # -- family sweep grammar --------------------------------------------------
 
-def _expand_item(item: str, owner: str) -> list[int]:
-    """The integers of an ``a`` or ``a..b`` item; errors name its ``owner``."""
+def _item_ends(item: str, owner: str) -> tuple[int, int]:
+    """The first and last integer of an ``a`` or ``a..b`` item; errors
+    name its ``owner``."""
     lo, dots, hi = item.partition("..")
     try:
-        return list(range(int(lo), int(hi) + 1)) if dots else [int(item)]
+        return (int(lo), int(hi)) if dots else (int(item), int(item))
     except ValueError:
         raise ValueError(f"{owner}: expected an integer or a..b, got {item!r}") from None
+
+
+def _expand_item(item: str, owner: str) -> list[int]:
+    """The integers of an ``a`` or ``a..b`` item; errors name its ``owner``."""
+    lo, hi = _item_ends(item, owner)
+    return list(range(lo, hi + 1))
 
 
 def expand_family_spec(text: str) -> list[FamilySpec]:
@@ -199,17 +209,25 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
 
 # -- verify ------------------------------------------------------------------
 
-def _parse_ks(text: str, max_degree: int) -> list[int]:
+def _parse_ks(text: str, max_degree: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
+    """The forcing indices of ``--k``; ``auto`` is 1..max(max_degree, 1).
+
+    Every k must lie in 1..max_n, since no graph in scope has a vertex
+    of degree max_n; the ends of each range are checked before it is
+    expanded, so a huge range fails fast instead of filling memory.
+    """
     if text == "auto":
         return list(range(1, max(max_degree, 1) + 1))
-    out = []
-    for part in text.split(","):
-        out.extend(_expand_item(part.strip(), "--k"))
-    if not out:
+    ends = [_item_ends(part.strip(), "--k") for part in text.split(",")]
+    ends = [(lo, hi) for lo, hi in ends if lo <= hi]
+    if not ends:
         raise ValueError(f"no forcing index in {text!r}")
-    if any(k < 1 for k in out):
+    if min(lo for lo, _ in ends) < 1:
         raise ValueError(f"forcing indices must be positive: {text!r}")
-    return sorted(set(out))
+    top = max(hi for _, hi in ends)
+    if top > max_n:
+        raise ValueError(f"forcing index {top} exceeds --max-n {max_n}: {text!r}")
+    return sorted({k for lo, hi in ends for k in range(lo, hi + 1)})
 
 
 def _parse_bounds(text: str) -> tuple[BoundId, ...]:
@@ -368,7 +386,7 @@ def _open_output(stack: ExitStack, path: str | None, **kwargs):
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _campaign(args)
-    ks = None if cfg.k == "auto" else _parse_ks(cfg.k, 0)
+    ks = None if cfg.k == "auto" else _parse_ks(cfg.k, 0, cfg.max_n)
     ids = _parse_bounds(cfg.bounds)
     if cfg.sample is not None and cfg.sample < 0:
         raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
@@ -424,18 +442,20 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return EXIT_VIOLATION if violations else EXIT_OK
 
 
+_CSV_HEAD = ("index", "graph6", "n", "m", "max_degree", "min_degree")
+_CSV_TAIL = ("gamma_c", "alpha_1", "equalities")
+
+
 def _write_csv(fh, rows: list[dict]) -> None:
     import csv as csv_mod
 
-    max_k = max((k for row in rows for k in row["forcing"]), default=0)
-    columns = ["index", "graph6", "n", "m", "max_degree", "min_degree"]
-    columns += [f"f{k}" for k in range(1, max_k + 1)]
-    columns += ["gamma_c", "alpha_1", "equalities"]
+    ks = range(1, max((k for row in rows for k in row["forcing"]), default=0) + 1)
+    head, tail = itemgetter(*_CSV_HEAD), itemgetter(*_CSV_TAIL)
+    writer = csv_mod.writer(fh)
+    writer.writerow([*_CSV_HEAD, *(f"f{k}" for k in ks), *_CSV_TAIL])
     # a missing f{k} (k over the graph's max degree) and None both print empty
-    writer = csv_mod.DictWriter(fh, fieldnames=columns, extrasaction="ignore")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row | {f"f{k}": value for k, value in row["forcing"].items()})
+    writer.writerows([*head(row), *map(row["forcing"].get, ks), *tail(row)]
+                     for row in rows)
 
 
 # -- search -----------------------------------------------------------------
@@ -478,7 +498,7 @@ _SEARCH_TARGETS = {
 
 
 def search_equality(
-    graphs: list[tuple[str, int]], target: str, max_n: int = DEFAULT_MAX_N
+    graphs: Iterable[tuple[str, int]], target: str, max_n: int = DEFAULT_MAX_N
 ) -> EqualitySearchResult:
     """Find every connected graph achieving the target equality at k = 1.
 
@@ -539,7 +559,7 @@ def search_equality(
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = _campaign(args)
-    graphs = [(g6, n) for g6, n, _ in _load_graphs(cfg)]
+    graphs = ((g6, n) for g6, n, _ in _load_graphs(cfg))
     with ExitStack() as stack:
         out = _open_output(stack, cfg.out_jsonl)
         result = search_equality(graphs, args.target, cfg.max_n)
@@ -609,7 +629,7 @@ def _profile(g: Graph, args: argparse.Namespace) -> dict:
 
 def _record(g: Graph, args: argparse.Namespace) -> dict:
     rec = compute_record(g, max_n=args.max_n)
-    ks = _parse_ks(args.ks, rec.max_degree)
+    ks = _parse_ks(args.ks, rec.max_degree, args.max_n)
     r = rec.star_free_index
     # the indices the bounds read at these ks, whatever their gates
     forcing_ks = {1, r - 1} | {i for k in ks for i in (k, k * (r - 1), 2 * k)}

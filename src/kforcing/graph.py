@@ -153,10 +153,13 @@ class Graph(Frozen):
 
     @classmethod
     def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
-        """A graph from adjacency valid by construction, left unchecked."""
+        """A graph from adjacency valid by construction, left unchecked.
+
+        The slots are set through their member descriptors, which skip
+        ``object.__setattr__``'s attribute lookup."""
         g = object.__new__(cls)
-        object.__setattr__(g, "n", n)
-        object.__setattr__(g, "adj", adj)
+        _set_n(g, n)
+        _set_adj(g, adj)
         return g
 
     @staticmethod
@@ -254,6 +257,9 @@ class Graph(Frozen):
 
     def is_tree(self) -> bool:
         return self.n >= 1 and self.is_connected() and self.m == self.n - 1
+
+
+_set_n, _set_adj = Graph.n.__set__, Graph.adj.__set__
 
 
 def upper_triangle(g: Graph) -> int:

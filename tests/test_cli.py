@@ -224,6 +224,7 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     ("D?\nDhc\n", ["--sample", "1", "--seed", "0"]),
     ("Dhc\n", ["--out-jsonl", "/nonexistent/out.jsonl"]),
     ("Dhc\n", ["--out-csv", "/nonexistent/out.csv"]),
+    ("Dhc\n", ["--k", "1..1000000000000"]),  # rejected before it is expanded
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"
@@ -232,6 +233,19 @@ def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
+
+
+def test_k_over_max_n_exits_2(capsys):
+    c4 = str(DATA / "connected_4.g6")
+    assert main(["verify", "-i", c4, "--k", "1..12"]) == 0
+    capsys.readouterr()
+    for argv in (["verify", "-i", c4, "--k", "2,1..13"],
+                 ["verify", "-i", c4, "--k", "1..20", "--max-n", "19"],
+                 ["compute", "--graph6", "Dhc", "--invariant", "record", "--ks", "13"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: forcing index ") and "exceeds --max-n" in err
+    assert main(["verify", "-i", c4, "--k", "13", "--max-n", "13"]) == 0
 
 
 @pytest.mark.parametrize("flag", ["--out-jsonl", "--out-csv"])

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from kforcing import (
@@ -10,10 +12,12 @@ from kforcing import (
     write_graph6,
 )
 from kforcing.families import complete, cycle, path
-from kforcing.graphio import decode_graph6
+from kforcing.graph import from_upper_triangle
+from kforcing.graphio import TABLE_CAP, decode_graph6
 from kforcing.smallgraphs import all_graphs
 
 from conftest import DATA
+from random_graphs import random_graph
 
 
 def test_decoded_graphs_pass_validation(connected_upto_7, trees_by_n):
@@ -165,6 +169,35 @@ def test_decoder_on_checked_lines_of_every_corpus():
             g = decode_graph6(*graph6_order(line))
             assert g == parse_graph6(line) == Graph(g.n, g.adj)
             assert write_graph6(g) == line
+
+
+def column_decode(s: str, n: int) -> Graph:
+    """The graph of a checked graph6 string, its body read bit by bit
+    (pair 0 first) into :func:`from_upper_triangle`."""
+    body = s[len(s) - (n * (n - 1) // 2 + 5) // 6:]
+    bits = "".join(f"{ord(c) - 63:06b}" for c in body)
+    return from_upper_triangle(n, sum(1 << p for p, bit in enumerate(bits) if bit == "1"))
+
+
+def test_table_decoder_matches_the_column_loop_on_every_corpus_line():
+    for path_ in sorted(DATA.glob("*.g6")):
+        for line in path_.read_text().split():
+            g = decode_graph6(*graph6_order(line))
+            assert g.n <= TABLE_CAP
+            assert g == column_decode(line, g.n)
+            assert all(type(a) is int for a in g.adj) and type(g.adj) is tuple
+
+
+def test_decoders_on_both_sides_of_the_table_cap():
+    assert TABLE_CAP == 16
+    rng = random.Random(7)
+    for n in range(21):
+        for i in range(25):
+            g = random_graph(n, i / 24, rng)
+            s = write_graph6(g)
+            h = decode_graph6(*graph6_order(s))
+            assert h == g == column_decode(s, n) == parse_graph6(s)
+            assert h == Graph(h.n, h.adj)
 
 
 def test_edge_list_round_trip():

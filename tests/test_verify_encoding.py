@@ -7,6 +7,8 @@ line up in a per-process memo, so the oracle reports are computed apart,
 on a fresh record.
 """
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -15,8 +17,9 @@ from fractions import Fraction
 
 import kforcing.cli as cli
 from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport, evaluate_bounds
-from kforcing.graphio import graph6_order, parse_graph6
+from kforcing.graphio import graph6_order, parse_graph6, write_graph6
 from kforcing.records import DEFAULT_MAX_N
+from kforcing.smallgraphs import all_graphs
 
 from conftest import DATA
 
@@ -208,3 +211,33 @@ def test_warm_memo_writes_what_a_cold_process_writes(tmp_path, monkeypatch, caps
         assert capsys.readouterr().out == proc.stdout
     assert 500 < len(cli._TAILS) < 1000
     assert runs[0] == runs[1] == cold.read_bytes()
+
+
+def dictwriter_csv(rows: list[dict]) -> str:
+    """The CSV as ``csv.DictWriter`` wrote it from merged per-row dicts."""
+    max_k = max((k for row in rows for k in row["forcing"]), default=0)
+    columns = ["index", "graph6", "n", "m", "max_degree", "min_degree"]
+    columns += [f"f{k}" for k in range(1, max_k + 1)]
+    columns += ["gamma_c", "alpha_1", "equalities"]
+    out = io.StringIO(newline="")
+    writer = csv.DictWriter(out, fieldnames=columns, extrasaction="ignore")
+    writer.writeheader()
+    for row in rows:
+        writer.writerow(row | {f"f{k}": value for k, value in row["forcing"].items()})
+    return out.getvalue()
+
+
+def test_csv_rows_match_the_dictwriter_oracle():
+    # every graph on 5 vertices, the disconnected ones (gamma_c None) too
+    lines = [write_graph6(g) for g in all_graphs(5)]
+    lines += (DATA / "connected_6.g6").read_text().split()[:40]
+    for ks in (None, [2, 4], [1, 3, 12]):
+        rows = [cli._verify_one((i, *graph6_order(g6), ks, ALL_BOUNDS, DEFAULT_MAX_N,
+                                 True))[4] for i, g6 in enumerate(lines)]
+        assert any(row["gamma_c"] is None for row in rows)
+        out = io.StringIO(newline="")
+        cli._write_csv(out, rows)
+        assert out.getvalue() == dictwriter_csv(rows)
+    out = io.StringIO(newline="")
+    cli._write_csv(out, [])
+    assert out.getvalue() == dictwriter_csv([])
