@@ -23,6 +23,7 @@ from typing import Iterable
 from .graph import Graph, GraphError, from_upper_triangle, upper_triangle
 
 _HEADER = ">>graph6<<"
+MAX_ORDER = 258047  # the largest n of the 4-byte header; larger n need the 8-byte form
 # a graph6 byte to its 6 adjacency bits, least significant first
 _REVERSED_BITS = {c + 63: f"{c:06b}"[::-1] for c in range(64)}
 # the bytes of a text that only needs its line classes checked
@@ -57,7 +58,7 @@ def graph6_order(text: str) -> tuple[str, int]:
         if len(s) < 4:
             raise Graph6Error(f"malformed length header: {s!r}")
         if s[1] == "~":
-            raise Graph6Error("the 8-byte length form (n > 258047) is not supported")
+            raise Graph6Error(f"the 8-byte length form (n > {MAX_ORDER}) is not supported")
         n = (ord(s[1]) - 63) << 12 | (ord(s[2]) - 63) << 6 | (ord(s[3]) - 63)
         if n <= 62:
             raise Graph6Error(f"long-form header used for n={n} <= 62")
@@ -162,7 +163,7 @@ def write_graph6(g: Graph) -> str:
     """Encode a graph as its canonical graph6 string."""
     if g.n <= 62:
         head = [g.n]
-    elif g.n <= 258047:
+    elif g.n <= MAX_ORDER:
         head = [63, (g.n >> 12) & 63, (g.n >> 6) & 63, g.n & 63]
     else:
         raise Graph6Error(f"n={g.n} too large for the supported graph6 forms")

@@ -1,0 +1,121 @@
+"""The ``search`` command: the graphs of a corpus that attain a bound at k = 1."""
+
+from __future__ import annotations
+
+import argparse
+import json
+from contextlib import ExitStack
+from typing import Iterable, NamedTuple
+
+from . import cli
+from .bounds import BOUNDS
+from .forcing import is_k_forcing_number
+from .graph import Graph
+from .graphio import decode_graph6
+from .records import DEFAULT_MAX_N, compute_record
+
+
+class EqualitySearchResult(NamedTuple):
+    """Outcome of an equality-case search over a corpus.
+
+    Every achiever was re-verified from its serialized graph6 form.
+    For the cor3 target, any achiever outside the conjectured families
+    flips the status to counterexample_found.
+    """
+
+    target: str
+    achievers: tuple[dict, ...]
+    status: str
+    skipped: int
+
+
+def _classify_achiever(g: Graph) -> str:
+    from .families import complete_bipartite_parts, is_complete_graph, is_cycle_graph
+
+    dmax = max(g.degree(v) for v in range(g.n))
+    if is_complete_graph(g) and g.n == dmax + 1:
+        return "complete"
+    parts = complete_bipartite_parts(g)
+    if parts is not None and parts[0] == parts[1]:
+        return "balanced_bipartite"
+    if is_cycle_graph(g):
+        return "cycle"
+    if parts is not None and parts[1] >= 2:
+        return "bipartite_p_ge_q_ge_2"
+    return "OTHER"
+
+
+def search_equality(
+    graphs: Iterable[tuple[str, int]], target: str, max_n: int = DEFAULT_MAX_N
+) -> EqualitySearchResult:
+    """Find every connected graph achieving the target equality at k = 1.
+
+    ``graphs`` holds (graph6, n) pairs as :func:`graphio.graph6_order`
+    returns them; each graph in scope is decoded from its graph6 string,
+    so every reported string is the graph that was checked. Every
+    target's exact side is F_1, so an integral bound b is met iff
+    :func:`is_k_forcing_number` finds F_1 = b by two level scans; an
+    achiever's ``f1`` then comes from the exact solver, which checks the
+    equality a second time by another route.
+    """
+    if target not in cli._SEARCH_TARGETS:
+        raise ValueError(f"unknown search target {target!r}")
+    bound_id, predicted = cli._SEARCH_TARGETS[target]
+    entry = BOUNDS[bound_id]
+    check, = entry.checks
+    achievers = []
+    skipped = 0
+    for index, (g6, n) in enumerate(graphs):
+        if n > max_n:
+            skipped += 1
+            continue
+        if n < 2:
+            continue
+        g = decode_graph6(g6, n)
+        rec = compute_record(g, max_n)
+        if not entry.gate(rec, 1):
+            continue
+        value, rest = divmod(*check.value(rec, 1))  # p/q with q > 0
+        if rest or not is_k_forcing_number(g, 1, value):  # no scan if not integral
+            continue
+        f1 = rec.forcing[1]
+        if f1 != value:
+            raise RuntimeError(f"level scans found F_1 = {value} but the "
+                               f"exact solver {f1}, graph6={g6}")
+        achievers.append({"index": index, "graph6": g6, "n": n,
+                          "max_degree": rec.max_degree, "f1": f1,
+                          "bound_value": str(value),
+                          "classification": _classify_achiever(g)})
+
+    if predicted is None:
+        status = "open_problem_data"
+    elif any(a["classification"] not in predicted for a in achievers):
+        status = "counterexample_found"
+    else:
+        status = "consistent_on_searched_range"
+    return EqualitySearchResult(
+        target=target, achievers=tuple(achievers), status=status, skipped=skipped
+    )
+
+
+def cmd_search(args: argparse.Namespace) -> int:
+    cfg = cli._campaign(args)
+    graphs = ((g6, n) for g6, n, _ in cli._load_graphs(cfg))
+    with ExitStack() as stack:
+        out = cli._open_output(stack, cfg.out_jsonl)
+        result = search_equality(graphs, args.target, cfg.max_n)
+        if out:
+            out.writelines(json.dumps(a) + "\n" for a in result.achievers)
+
+    predicted = cli._SEARCH_TARGETS[args.target][1]
+    print(f"search target={args.target} achievers={len(result.achievers)} "
+          f"status={result.status} skipped={result.skipped}")
+    for a in result.achievers:
+        marker = ""
+        if predicted is not None and a["classification"] not in predicted:
+            marker = "  <-- NOT PREDICTED (possible counterexample)"
+        print(
+            f"  graph6={a['graph6']} n={a['n']} max_degree={a['max_degree']} "
+            f"f1={a['f1']} class={a['classification']}{marker}"
+        )
+    return cli.EXIT_OK

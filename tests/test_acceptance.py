@@ -26,7 +26,7 @@ from kforcing import (
     vertices_from,
     write_graph6,
 )
-from kforcing.cli import _classify_achiever
+from kforcing.search import _classify_achiever
 from kforcing.forcing import _fixpoint
 from kforcing.families import (
     complete,
@@ -282,7 +282,7 @@ def test_criterion_8_equality_search(connected_upto_7):
             failures.append(("conn-dom-missing", needed))
 
     # the shipped search pipeline must reproduce this inline recomputation
-    from kforcing.cli import search_equality
+    from kforcing.search import search_equality
 
     pipeline = search_equality(
         [(write_graph6(g), g.n) for g in connected_upto_7], "cor3"

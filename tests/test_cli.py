@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 
@@ -7,10 +8,16 @@ import pytest
 
 from kforcing.cli import CampaignConfig, expand_family_spec, main
 from kforcing.families import FamilySpec
-from kforcing.graphio import parse_graph6, write_graph6
+from kforcing.graphio import MAX_ORDER, parse_graph6, write_graph6
 from kforcing.families import complete, complete_bipartite, cycle, star
 
 from conftest import DATA, compute_invariant_choices
+
+
+def limit_memory():
+    """Cap the child's address space, so that a command which expands a
+    huge range fails fast instead of filling the host's memory."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
 def run_cli(*args):
@@ -18,6 +25,7 @@ def run_cli(*args):
         [sys.executable, "-m", "kforcing.cli", *args],
         capture_output=True,
         text=True,
+        preexec_fn=limit_memory,
     )
     return proc
 
@@ -73,6 +81,11 @@ def test_gen_bad_spec():
     (["gen", "cycle_tree:"], "cycle_tree: expected an integer or a..b, got ''"),
     (["verify", "-i", str(DATA / "connected_4.g6"), "--k", "1..x"],
      "--k: expected an integer or a..b, got '1..x'"),
+    # range ends are checked before the range is expanded
+    (["gen", "cycle:3..1000000000000"],
+     f"cycle: '3..1000000000000' exceeds graph6's largest order {MAX_ORDER}"),
+    (["verify", "--spec", "cycle:3..1000000000000"],
+     f"cycle: '3..1000000000000' exceeds graph6's largest order {MAX_ORDER}"),
 ])
 def test_bad_number_names_its_family_or_flag(argv, message):
     proc = run_cli(*argv)
@@ -123,6 +136,12 @@ def test_compute_exit_codes(tmp_path):
     proc = run_cli("compute", "--graph6", write_graph6(cycle(4)),
                    "--invariant", "path-cover")
     assert proc.returncode == 2  # not a tree
+
+    proc = run_cli("compute", "--graph6", "Dhc", "--invariant", "record",
+                   "--max-n", "1000000000000", "--ks", "1..1000000000000")
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"error: --max-n 1000000000000 exceeds graph6's largest order {MAX_ORDER}\n")
 
 
 @pytest.mark.parametrize("invariant", compute_invariant_choices())
@@ -225,6 +244,7 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     ("Dhc\n", ["--out-jsonl", "/nonexistent/out.jsonl"]),
     ("Dhc\n", ["--out-csv", "/nonexistent/out.csv"]),
     ("Dhc\n", ["--k", "1..1000000000000"]),  # rejected before it is expanded
+    ("Dhc\n", ["--max-n", "1000000000000", "--k", "1..1000000000000"]),
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"
@@ -248,12 +268,47 @@ def test_k_over_max_n_exits_2(capsys):
     assert main(["verify", "-i", c4, "--k", "13", "--max-n", "13"]) == 0
 
 
+def test_max_n_ceiling_is_graph6s_largest_order(tmp_path, capsys):
+    c4 = str(DATA / "connected_4.g6")
+    assert main(["verify", "-i", c4, "--max-n", str(MAX_ORDER)]) == 0
+    capsys.readouterr()
+    config = tmp_path / "campaign.cfg"
+    config.write_text(f"input = {c4}\nmax-n = {MAX_ORDER + 1}\n")
+    for argv in (["verify", "-i", c4, "--max-n", str(MAX_ORDER + 1)],
+                 ["verify", "--config", str(config)],
+                 ["search", "--target", "cor3", "-i", c4, "--max-n", str(MAX_ORDER + 1)],
+                 ["compute", "--graph6", "Dhc", "--invariant", "profile",
+                  "--max-n", str(MAX_ORDER + 1)]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (f"error: --max-n {MAX_ORDER + 1} exceeds graph6's largest "
+                       f"order {MAX_ORDER}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "-i", str(DATA / "connected_4.g6")],
+    ["search", "--target", "cor3", "-i", str(DATA / "connected_4.g6")],
+    ["compute", "-i", str(DATA / "connected_4.g6"), "--invariant", "profile"],
+])
+def test_out_of_memory_is_one_error_line_and_exit_3(argv, monkeypatch, capsys):
+    from kforcing import cli
+
+    def exhausted(cfg):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_load_graphs", exhausted)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", "error: out of memory\n")
+
+
 @pytest.mark.parametrize("flag", ["--out-jsonl", "--out-csv"])
 def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeypatch,
                                                          capsys):
-    import kforcing.cli as cli
+    import kforcing.verify
 
-    monkeypatch.setattr(cli, "_verify_one", lambda task: pytest.fail("verified a graph"))
+    monkeypatch.setattr(kforcing.verify, "_verify_one",
+                        lambda task: pytest.fail("verified a graph"))
     code = main(["verify", "--input", str(DATA / "connected_4.g6"), "--jobs", "1",
                  flag, str(tmp_path)])  # a directory
     out, err = capsys.readouterr()
@@ -482,7 +537,7 @@ def test_search_empty_corpus(tmp_path):
 
 def test_search_skips_forcing_when_the_bound_is_not_integral(monkeypatch):
     from kforcing import Graph, records
-    from kforcing.cli import search_equality
+    from kforcing.search import search_equality
 
     solved = []
     solve = records.k_forcing_number
@@ -497,7 +552,7 @@ def test_search_skips_forcing_when_the_bound_is_not_integral(monkeypatch):
 
 def test_search_runs_the_exact_solver_only_on_achievers(monkeypatch):
     from kforcing import Graph, records
-    from kforcing.cli import search_equality
+    from kforcing.search import search_equality
 
     solved = []
     solve = records.k_forcing_number
@@ -560,9 +615,9 @@ def test_compute_record_prints_the_forcing_indices_bounds_read(capsys):
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
     # a violated bound cannot arise from correct code, so fake one outcome per
     # graph to pin the loud-failure contract: summary, stdout line, exit 1
-    import kforcing.cli as cli
+    import kforcing.verify
 
-    real = cli.bound_outcomes
+    real = kforcing.verify.bound_outcomes
 
     def sabotage(*args, **kwargs):
         outcomes = real(*args, **kwargs)
@@ -571,7 +626,7 @@ def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
         outcomes[i] = (k, bound, side, p, q, exact, -q, detail)  # slack -1
         return outcomes
 
-    monkeypatch.setattr(cli, "bound_outcomes", sabotage)
+    monkeypatch.setattr(kforcing.verify, "bound_outcomes", sabotage)
     out = tmp_path / "v.jsonl"
     code = main(["verify", "--input", str(DATA / "connected_3.g6"),
                  "--jobs", "1", "--out-jsonl", str(out)])
@@ -607,16 +662,16 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
 
     # in process: the forked runner really gets the worker count from the
     # environment, and an explicit --jobs overrides it
-    from kforcing import cli
+    import kforcing.verify
 
     runs = []
-    forked = cli._verify_forked
+    forked = kforcing.verify._verify_forked
 
     def recording(work, jobs):
         runs.append(jobs)
         return forked(work, jobs)
 
-    monkeypatch.setattr(cli, "_verify_forked", recording)
+    monkeypatch.setattr(kforcing.verify, "_verify_forked", recording)
     monkeypatch.setenv("KFORCING_JOBS", "2")
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--out-jsonl", str(tmp_path / "env.jsonl")]) == 0

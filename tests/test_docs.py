@@ -12,7 +12,7 @@ def test_readme_library_table_names_exist_and_star_import_works():
     readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("## Library overview", 1)[1].split("\n\n")[1]
     rows = [line.split("|")[1:3] for line in table.splitlines()[2:]]
-    assert len(rows) == 9
+    assert len(rows) == 12
     subcommands, = (action.choices for action in build_parser()._actions
                     if isinstance(action, argparse._SubParsersAction))
     for module, contents in rows:

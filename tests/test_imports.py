@@ -38,11 +38,30 @@ def loaded_after(code: str) -> set[str]:
     # verify over a file: no families, which only --spec, gen and search read
     ("from kforcing.cli import main\n"
      f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}]) == 0",
-     {"bounds", "cli", "forcing", "graph", "graphio", "invariants", "records"}),
+     {"bounds", "cli", "forcing", "graph", "graphio", "invariants", "records",
+      "verify"}),
 ], ids=["import", "enumerate", "verify"])
 def test_package_modules_loaded(code, allowed):
     package = {m for m in loaded_after(code) if m.split(".")[0] == "kforcing"}
     assert package <= {"kforcing"} | {f"kforcing.{name}" for name in allowed}
+
+
+@pytest.mark.parametrize("argv, absent", [
+    (["verify", "-i", str(DATA / "connected_5.g6")], {"search", "compute", "families"}),
+    (["search", "--target", "cor3", "-i", str(DATA / "connected_5.g6")],
+     {"verify", "compute"}),
+    (["compute", "--graph6", "Dhc", "--invariant", "forcing"], {"verify", "search"}),
+], ids=["verify", "search", "compute"])
+def test_a_command_loads_no_other_commands_module(argv, absent):
+    loaded = loaded_after(f"from kforcing.cli import main\nassert main({argv!r}) == 0")
+    assert not {f"kforcing.{name}" for name in absent} & loaded
+
+
+def test_cli_loads_what_the_tracer_reads_and_no_command_module():
+    # kbench/tracer.py reads these modules from sys.modules after importing cli
+    loaded = loaded_after("import kforcing.cli")
+    assert {"kforcing.bounds", "kforcing.graphio", "kforcing.records"} <= loaded
+    assert not {"kforcing.verify", "kforcing.search", "kforcing.compute"} & loaded
 
 
 @pytest.mark.parametrize("code", [

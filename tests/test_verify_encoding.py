@@ -16,6 +16,7 @@ import sys
 from fractions import Fraction
 
 import kforcing.cli as cli
+import kforcing.verify as verify
 from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport, evaluate_bounds
 from kforcing.graphio import graph6_order, parse_graph6, write_graph6
 from kforcing.records import DEFAULT_MAX_N
@@ -54,10 +55,10 @@ def verify_with_outcomes(monkeypatch, index: int, g6: str, ks=None, outcomes=Non
         seen[:] = real(*args, **kwargs) if outcomes is None else outcomes
         return seen
 
-    real = cli.bound_outcomes
+    real = verify.bound_outcomes
     with monkeypatch.context() as patch:
-        patch.setattr(cli, "bound_outcomes", outcomes_of)
-        result = cli._verify_one((index, *graph6_order(g6), ks, ALL_BOUNDS,
+        patch.setattr(verify, "bound_outcomes", outcomes_of)
+        result = verify._verify_one((index, *graph6_order(g6), ks, ALL_BOUNDS,
                                   DEFAULT_MAX_N, True))
     return result, list(seen)
 
@@ -160,7 +161,7 @@ def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
 
 def line_of(outcome: tuple) -> dict:
     """The fields a memo tail writes for ``outcome``, decoded."""
-    return json.loads("{" + cli._tail(outcome))
+    return json.loads("{" + verify._tail(outcome))
 
 
 def test_rationals_print_as_their_fractions():
@@ -178,9 +179,9 @@ def test_new_key_lines_agree_in_sign_with_their_fractions(monkeypatch):
                 for exact in range(-3, 4):
                     d = p - exact * q if side == "upper" else exact * q - p
                     outcomes.append((97, BoundId.MAIN, side, p, q, exact, d, ()))
-    monkeypatch.setattr(cli, "_TAILS", {})
+    monkeypatch.setattr(verify, "_TAILS", {})
     result, _ = verify_with_outcomes(monkeypatch, 0, "Bw", [97], outcomes)
-    assert set(outcomes) <= cli._TAILS.keys()
+    assert set(outcomes) <= verify._TAILS.keys()
     lines = [json.loads(text) for text in result[1].splitlines()]
     assert len(lines) == len(outcomes)
     for (_, _, side, p, q, exact, _, _), line in zip(outcomes, lines):
@@ -203,13 +204,13 @@ def test_warm_memo_writes_what_a_cold_process_writes(tmp_path, monkeypatch, caps
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0, proc.stderr
-    monkeypatch.setattr(cli, "_TAILS", {})
+    monkeypatch.setattr(verify, "_TAILS", {})
     runs = []
     for name in ("first.jsonl", "warm.jsonl"):
         assert cli.main([*args, "--out-jsonl", str(tmp_path / name)]) == 0
         runs.append((tmp_path / name).read_bytes())
         assert capsys.readouterr().out == proc.stdout
-    assert 500 < len(cli._TAILS) < 1000
+    assert 500 < len(verify._TAILS) < 1000
     assert runs[0] == runs[1] == cold.read_bytes()
 
 
@@ -232,12 +233,12 @@ def test_csv_rows_match_the_dictwriter_oracle():
     lines = [write_graph6(g) for g in all_graphs(5)]
     lines += (DATA / "connected_6.g6").read_text().split()[:40]
     for ks in (None, [2, 4], [1, 3, 12]):
-        rows = [cli._verify_one((i, *graph6_order(g6), ks, ALL_BOUNDS, DEFAULT_MAX_N,
+        rows = [verify._verify_one((i, *graph6_order(g6), ks, ALL_BOUNDS, DEFAULT_MAX_N,
                                  True))[4] for i, g6 in enumerate(lines)]
         assert any(row["gamma_c"] is None for row in rows)
         out = io.StringIO(newline="")
-        cli._write_csv(out, rows)
+        verify._write_csv(out, rows)
         assert out.getvalue() == dictwriter_csv(rows)
     out = io.StringIO(newline="")
-    cli._write_csv(out, [])
+    verify._write_csv(out, [])
     assert out.getvalue() == dictwriter_csv([])

@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from kforcing import cli
+from kforcing import cli, verify
 from kforcing.graph import GraphError
 
 from conftest import DATA
@@ -48,14 +48,14 @@ def test_output_is_the_same_at_every_worker_count(corpus, jobs, tmp_path, capsys
 @pytest.mark.parametrize("bad", [3, 13, 19, 111])
 @pytest.mark.parametrize("jobs", [2, 3])
 def test_an_error_stops_the_run_as_at_one_job(bad, jobs, tmp_path, capsys, monkeypatch):
-    original = cli._verify_one
+    original = verify._verify_one
 
     def verify_one(task):
         if task[0] == bad:
             raise GraphError(f"cannot verify graph {bad}")
         return original(task)
 
-    monkeypatch.setattr(cli, "_verify_one", verify_one)
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
     serial = run_verify("connected_6", 1, tmp_path, capsys)
     assert serial[0] == cli.EXIT_PARSE
     assert serial[4] == f"error: cannot verify graph {bad}\n"
@@ -65,14 +65,14 @@ def test_an_error_stops_the_run_as_at_one_job(bad, jobs, tmp_path, capsys, monke
 
 def test_a_child_that_dies_is_named(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
-    original = cli._verify_one
+    original = verify._verify_one
 
     def verify_one(task):
         if task[0] == 13 and os.getpid() != parent:
             os._exit(3)
         return original(task)
 
-    monkeypatch.setattr(cli, "_verify_one", verify_one)
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
     code, _, csv, out, err = run_verify("connected_6", 2, tmp_path, capsys)
     assert code == cli.EXIT_PARSE
     assert csv == b"" and out == ""  # the CSV is written only at the end
