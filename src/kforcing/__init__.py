@@ -13,14 +13,13 @@ __version__ = "0.1.0"
 
 # defining module -> the public names it exports
 _EXPORTS = {
-    "bounds": ("ALL_BOUNDS", "BoundId", "BoundReport", "bound_value",
+    "bounds": ("ALL_BOUNDS", "BOUNDS", "BoundId", "BoundReport", "bound_outcomes",
                "evaluate_bounds"),
     "families": ("FAMILIES", "FamilySpec", "generate"),
     "forcing": ("KForcingResult", "is_k_forcing_number", "is_k_forcing_set",
                 "k_forcing_number", "k_forcing_sets"),
-    "graph": ("Graph", "GraphError", "components", "degree_profile",
-              "disjoint_union", "iter_bits", "mask_from", "subsets_of_size",
-              "vertices_from"),
+    "graph": ("Graph", "GraphError", "components", "degree_profile", "iter_bits",
+              "subsets_of_size", "vertices_from"),
     "graphio": ("Graph6Error", "graph6_order", "parse_edge_list", "parse_graph6",
                 "write_graph6"),
     "invariants": ("ExactScopeError", "connected_k_domination",

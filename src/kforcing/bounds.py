@@ -16,7 +16,7 @@ import enum
 from fractions import Fraction
 from typing import Callable, NamedTuple, Sequence
 
-from .graph import Graph, GraphError
+from .graph import Graph
 from .records import InvariantRecord, compute_record
 
 
@@ -193,7 +193,6 @@ class BoundReport(NamedTuple):
     above or below; slack is non-negative whenever the inequality holds.
     """
 
-    graph_id: str | int | None
     k: int
     bound: BoundId
     side: str  # "upper" | "lower"
@@ -204,25 +203,6 @@ class BoundReport(NamedTuple):
     equality: bool | None = None
     satisfied: bool | None = None
     detail: tuple[tuple[str, int], ...] = ()
-
-
-def bound_value(
-    bound: BoundId, g: Graph, k: int, rec: InvariantRecord, side: str | None = None
-) -> Fraction | None:
-    """The exact rational bound value, or None when hypotheses fail.
-
-    ``side`` selects the direction for the one two-sided bound
-    (TREE_LEAF); by default the first direction is returned.
-    """
-    if g.n != rec.n:
-        raise GraphError("record does not match the graph")
-    entry = BOUNDS[bound]
-    if not entry.gate(rec, k):
-        return None
-    for check in entry.checks:
-        if side is None or check.side == side:
-            return Fraction(*check.value(rec, k))
-    return None
 
 
 def bound_outcomes(
@@ -254,7 +234,6 @@ def evaluate_bounds(
     g: Graph,
     ks: Sequence[int],
     ids: Sequence[BoundId] = ALL_BOUNDS,
-    graph_id: str | int | None = None,
     rec: InvariantRecord | None = None,
 ) -> list[BoundReport]:
     """Evaluate bounds against exact values: one report per check, holding
@@ -270,9 +249,9 @@ def evaluate_bounds(
     reports = []
     for k, bound, side, *checked in bound_outcomes(rec, sorted(set(ks)), ids):
         if not checked:
-            reports.append(BoundReport(graph_id, k, bound, side, False))
+            reports.append(BoundReport(k, bound, side, False))
             continue
         p, q, exact, d, detail = checked
-        reports.append(BoundReport(graph_id, k, bound, side, True, Fraction(p, q),
-                                   exact, Fraction(d, q), d == 0, d >= 0, detail))
+        reports.append(BoundReport(k, bound, side, True, Fraction(p, q), exact,
+                                   Fraction(d, q), d == 0, d >= 0, detail))
     return reports

@@ -14,6 +14,7 @@ import sys
 from contextlib import ExitStack
 from importlib import import_module
 from itertools import product
+from math import prod
 from typing import TYPE_CHECKING, NamedTuple
 
 from .bounds import BoundId
@@ -138,11 +139,10 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
     if cfg.input:
         origin = f"input={cfg.input}"
         if cfg.format == "g6":
-            with open(cfg.input, encoding="ascii") as fh:
-                graphs = [(g6, n, origin) for g6, n in graph6_lines(fh.read())]
+            graphs = [(g6, n, origin)
+                      for g6, n in graph6_lines(_read_input(cfg.input, "ascii"))]
         elif cfg.format == "edges":
-            with open(cfg.input, encoding="utf-8") as fh:
-                built.append((parse_edge_list(fh.read()), origin))
+            built.append((parse_edge_list(_read_input(cfg.input, "utf-8")), origin))
         else:
             raise ValueError(f"unknown format {cfg.format!r}")
     if cfg.spec:
@@ -152,6 +152,14 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
                   for spec in cfg.spec for fs in expand_family_spec(spec)]
     return graphs + [(write_graph6(g) if g.n <= cfg.max_n else None, g.n, origin)
                      for g, origin in built]
+
+
+def _read_input(path: str, encoding: str) -> str:
+    """The text of file ``path``, or of file descriptor 0 for ``-``,
+    which stays open."""
+    stdin = path == "-"
+    with open(0 if stdin else path, encoding=encoding, closefd=not stdin) as fh:
+        return fh.read()
 
 
 # -- family sweep grammar --------------------------------------------------
@@ -166,12 +174,16 @@ def _item_ends(item: str, owner: str) -> tuple[int, int]:
         raise ValueError(f"{owner}: expected an integer or a..b, got {item!r}") from None
 
 
-def _expand_item(item: str, owner: str) -> list[int]:
+def _item_range(item: str, owner: str) -> range:
     """The integers of an ``a`` or ``a..b`` item; errors name its ``owner``."""
     lo, hi = _item_ends(item, owner)
     if max(abs(lo), abs(hi)) > MAX_ORDER:  # no family parameter exceeds its n
         raise ValueError(f"{owner}: {item!r} exceeds graph6's largest order {MAX_ORDER}")
-    return list(range(lo, hi + 1))
+    return range(lo, hi + 1)
+
+
+#: The most specs one family sweep may expand to.
+MAX_SWEEP = 100_000
 
 
 def expand_family_spec(text: str) -> list[FamilySpec]:
@@ -180,7 +192,9 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     Groups are ':'-separated; a group is a comma list of ints or
     ``a..b`` ranges. Scalar parameters take one group each; tuple
     parameters (cycle lengths, circulant steps) take the whole comma
-    group as the value, with ranges product-expanded.
+    group as the value, with ranges product-expanded. A sweep of more
+    than :data:`MAX_SWEEP` specs (the product of its range lengths) is
+    rejected before any is built.
     """
     from .families import FAMILIES, FamilySpec
 
@@ -195,17 +209,19 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
         raise ValueError(
             f"{family} takes {len(shapes)} parameter group(s), got {len(groups)}"
         )
-    choices: list[list] = []
+    params = []
     for shape, group in zip(shapes, groups):
-        expanded = [_expand_item(item, family) for item in group.split(",")]
-        if shape == "int":
-            if len(expanded) != 1:
-                raise ValueError(
-                    f"{family}: scalar parameter takes one value or range, got {group!r}"
-                )
-            choices.append(expanded[0])
-        else:
-            choices.append(list(product(*expanded)))
+        ranges = [_item_range(item, family) for item in group.split(",")]
+        if shape == "int" and len(ranges) != 1:
+            raise ValueError(
+                f"{family}: scalar parameter takes one value or range, got {group!r}"
+            )
+        params.append((shape, ranges))
+    size = prod(len(r) for _, ranges in params for r in ranges)
+    if size > MAX_SWEEP:
+        raise ValueError(f"{family}: {text!r} expands to {size} specs, over {MAX_SWEEP}")
+    choices = [ranges[0] if shape == "int" else product(*ranges)
+               for shape, ranges in params]
     return [FamilySpec(family, args) for args in product(*choices)]
 
 

@@ -6,7 +6,7 @@ import argparse
 import json
 
 from . import cli
-from .forcing import k_forcing_number
+from .forcing import k_forcing_number, k_forcing_sets
 from .graph import Graph, GraphError, degree_profile, vertices_from
 from .graphio import decode_graph6, graph6_order
 from .invariants import (
@@ -30,10 +30,10 @@ def _value_witness(k: int, value, witness: int) -> dict:
 
 
 def _forcing(g: Graph, args: argparse.Namespace) -> dict:
-    res = k_forcing_number(g, args.k, collect_all_minimum=args.all_min)
+    res = k_forcing_number(g, args.k)
     out = _value_witness(args.k, res.value, res.witness)
     if args.all_min:
-        out["all_minimum"] = [_fmt_mask(m) for m in res.all_minimum]
+        out["all_minimum"] = [_fmt_mask(m) for m in k_forcing_sets(g, args.k, res.value)]
     return out
 
 

@@ -26,7 +26,6 @@ class KForcingResult(NamedTuple):
     k: int
     value: int
     witness: int
-    all_minimum: tuple[int, ...] | None = None
 
 
 def _fixpoint(adj: tuple[int, ...], colored: int, k: int) -> int:
@@ -68,32 +67,22 @@ def k_forcing_sets(g: Graph, k: int, c: int) -> Iterator[int]:
             if is_k_forcing_set(g, mask, k))
 
 
-def k_forcing_number(
-    g: Graph, k: int, collect_all_minimum: bool = False
-) -> KForcingResult:
+def k_forcing_number(g: Graph, k: int) -> KForcingResult:
     """Exact k-forcing number with a minimum witness.
 
-    Levels of :func:`k_forcing_sets` are scanned by increasing size from
-    1; the witness is the colex-first set of the lowest non-empty level.
-    No lower bound is assumed, so the bounds checked against this value
-    (the minimum-degree one among them) can fail. A graph with c
-    components needs a vertex in each, so its levels 1..c-1 all fail,
-    at C(n, i) closures for level i.
-    With ``collect_all_minimum`` that whole level is gathered as
-    ``all_minimum``, every minimum k-forcing set in colex order.
+    Levels of c-subsets are scanned by increasing size from 1, each with
+    :func:`k_forcing_sets`' test; the witness is the colex-first set of
+    the lowest non-empty level, and ``k_forcing_sets(g, k, value)`` lists
+    that whole level. No lower bound is assumed, so the bounds checked
+    against this value (the minimum-degree one among them) can fail. A
+    graph with c components needs a vertex in each, so its levels 1..c-1
+    all fail, at C(n, i) closures for level i.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if g.n < 1:
         raise GraphError("k-forcing number undefined for the empty graph")
     for c in range(1, g.n + 1):
-        if collect_all_minimum:
-            found = tuple(k_forcing_sets(g, k, c))
-            if found:
-                return KForcingResult(
-                    k=k, value=c, witness=found[0], all_minimum=found
-                )
-            continue
         # k_forcing_sets' test, inline: no generator to build and resume per level
         for mask in subsets_of_size(g.n, c):
             if is_k_forcing_set(g, mask, k):

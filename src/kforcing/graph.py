@@ -3,9 +3,9 @@
 Adjacency is stored as one int bitmask per vertex, so subset-heavy
 algorithms (forcing closures, domination solvers, subset enumeration)
 run on machine-word operations. Vertex sets travel through the whole
-package as plain int bitmasks; :func:`mask_from` / :func:`vertices_from`
-convert at the boundaries. :func:`upper_triangle` packs a whole graph
-into one int, in the bit order that graph6 and canonical keys share.
+package as plain int bitmasks; :func:`vertices_from` unpacks one where
+output lists vertices. :func:`upper_triangle` packs a whole graph into
+one int, in the bit order that graph6 and canonical keys share.
 """
 
 from __future__ import annotations
@@ -16,14 +16,6 @@ from typing import Iterable, Iterator
 
 class GraphError(ValueError):
     """Raised for structurally invalid graph input."""
-
-
-def mask_from(vertices: Iterable[int]) -> int:
-    """Pack an iterable of vertex indices into a bitmask."""
-    m = 0
-    for v in vertices:
-        m |= 1 << v
-    return m
 
 
 def vertices_from(mask: int) -> tuple[int, ...]:
@@ -125,8 +117,7 @@ class Graph(Frozen):
     """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
     Instances are immutable value objects and safe to share between
-    concurrent workers. Mutating operations (vertex/edge deletion)
-    return new graphs with vertices re-indexed densely.
+    concurrent workers. Edge deletion returns a new graph.
     """
 
     __slots__ = ("n", "adj")
@@ -199,24 +190,6 @@ class Graph(Frozen):
 
     # -- derived graphs -------------------------------------------------
 
-    def induced_subgraph(self, mask: int) -> Graph:
-        """Subgraph induced by the vertices of ``mask``, re-indexed densely.
-
-        Relative vertex order is preserved.
-        """
-        keep = vertices_from(mask)
-        index = {v: i for i, v in enumerate(keep)}
-        adj = [0] * len(keep)
-        for v in keep:
-            for u in iter_bits(self.adj[v] & mask):
-                adj[index[v]] |= 1 << index[u]
-        return Graph(len(keep), tuple(adj))
-
-    def delete_vertex(self, v: int) -> Graph:
-        if not 0 <= v < self.n:
-            raise GraphError(f"vertex {v} out of range")
-        return self.induced_subgraph(self.full_mask & ~(1 << v))
-
     def delete_edge(self, u: int, v: int) -> Graph:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge ({u}, {v})")
@@ -285,16 +258,6 @@ def from_upper_triangle(n: int, bits: int) -> Graph:
             adj[low.bit_length() - 1] |= bit
             col ^= low
     return Graph._unchecked(n, tuple(adj))
-
-
-def disjoint_union(*graphs: Graph) -> Graph:
-    """Disjoint union, with each graph's vertices shifted past the previous."""
-    n = 0
-    adj: list[int] = []
-    for g in graphs:
-        adj.extend(a << n for a in g.adj)
-        n += g.n
-    return Graph(n, tuple(adj))
 
 
 def components(g: Graph) -> list[int]:

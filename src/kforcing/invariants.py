@@ -162,7 +162,8 @@ def vertex_connectivity(g: Graph) -> int:
     return min_degree
 
 
-# no caller in src/: kept because kbench/tracer.py binds it by name (ROADMAP item 7)
+# no caller in src/: kept because kbench/tracer.py binds it by name, until the
+# tracer work of ROADMAP item 9 spans vertex_connectivity instead
 def vertex_k_connected(g: Graph, k: int) -> bool:
     """True iff n > k and deleting any fewer than k vertices leaves the
     graph connected (the empty deletion included)."""

@@ -2,11 +2,11 @@
 
 :func:`compute_record` checks the exact scope and computes n, m and the
 maximum and minimum degree, from one pass over the adjacency. Everything
-else (leaf and degree-3 counts, connectedness, components, and every
-solver-backed value: forcing numbers, domination, independence,
-connectivity, Hamiltonicity, cycle-tree shape, star-freeness, path
-cover) runs only when a bound gate, a bound formula or a caller reads
-it, and is kept for later reads.
+else (leaf and degree-3 counts, connectedness, and every solver-backed
+value: forcing numbers, domination, independence, connectivity,
+Hamiltonicity, cycle-tree shape, star-freeness, path cover) runs only
+when a bound gate, a bound formula or a caller reads it, and is kept for
+later reads.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from functools import cache
 from typing import Callable
 
 from .forcing import k_forcing_number
-from .graph import Graph, GraphError, components
+from .graph import Graph, GraphError
 from .invariants import (
     ExactScopeError,
     connected_k_domination,
@@ -117,10 +117,6 @@ class InvariantRecord:
     @_cached_property
     def degree3_count(self) -> int:
         return sum(a.bit_count() == 3 for a in self.graph.adj)
-
-    @_cached_property
-    def component_count(self) -> int:
-        return len(components(self.graph))
 
     @_cached_property
     def connected(self) -> bool:

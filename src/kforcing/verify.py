@@ -110,15 +110,16 @@ def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
     results, with a task's exception in its result's place, to a spool file
     and writes the record's length to its pipe. This process yields in
     input order, reading a child's record with ``os.pread``, and holds one
-    chunk at a time. Without ``os.fork`` it runs every chunk alone. On any
-    exit it kills and reaps the children.
+    chunk at a time. With one process (``jobs`` 1, one chunk, or no
+    ``os.fork``) it runs every chunk alone and forks nothing. On any exit
+    it kills and reaps the children.
     """
-    import pickle
-    import signal
-    import tempfile
-
     chunks = [work[i:i + 8] for i in range(0, len(work), 8)]
     procs = min(jobs, len(chunks)) if hasattr(os, "fork") else 1
+    if procs > 1:  # only forked workers spool and pickle
+        import pickle
+        import signal
+        import tempfile
     children = []  # (pid, pipe read end, spool) of processes 1, 2, ...
     try:
         for p in range(1, procs):
@@ -195,10 +196,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with ExitStack() as stack:
         jsonl = cli._open_output(stack, cfg.out_jsonl)
         csv = cli._open_output(stack, cfg.out_csv, newline="")
-        results = map(_verify_one, work)
-        if cfg.jobs > 1:
-            results = stack.enter_context(closing(_verify_forked(work, cfg.jobs)))
-        # both yield in input order: write each graph's block as it lands
+        results = stack.enter_context(closing(_verify_forked(work, cfg.jobs)))
+        # results come in input order: write each graph's block as it lands
         for _, text, (n_checked, n_equal, n_not_applicable), found, row in results:
             checked += n_checked
             equal += n_equal

@@ -11,7 +11,9 @@ complement; no bound reads it, so the package has no such solver.
 from dataclasses import dataclass
 from itertools import combinations
 
-from kforcing import Graph, GraphError, iter_bits, mask_from
+from kforcing import Graph, GraphError, iter_bits
+
+from builders import mask_from
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,13 @@ from fractions import Fraction
 
 from kforcing import (
     BoundId,
-    bound_value,
     components,
     compute_record,
     connected_k_domination,
     degree_profile,
-    disjoint_union,
     evaluate_bounds,
     k_forcing_number,
+    k_forcing_sets,
     path_cover_number,
     vertex_k_connected,
     vertices_from,
@@ -37,6 +36,8 @@ from kforcing.families import (
     subdivided_star,
 )
 
+from bound_helper import bound_value
+from builders import delete_vertex, disjoint_union, induced_subgraph
 from conftest import DATA, read_graph6_file
 from forcing_oracle import closure_async, min_forcing_cc_oracle
 from random_graphs import random_graph
@@ -85,13 +86,13 @@ def test_criterion_2_soundness_sweep(connected_upto_7):
     for g in corpus:
         dmax = degree_profile(g)[0]
         ks = list(range(1, max(dmax, 1) + 1))
-        for rep in evaluate_bounds(g, ks, graph_id=write_graph6(g)):
+        for rep in evaluate_bounds(g, ks):
             if not rep.applicable:
                 continue
             checked += 1
             assert isinstance(rep.bound_value, Fraction)
             if not rep.satisfied:
-                failures.append((rep.graph_id, rep.k, rep.bound.value, rep.side))
+                failures.append((write_graph6(g), rep.k, rep.bound.value, rep.side))
     report("criterion-2", failures,
            f"soundness sweep: {checked} bound checks over {len(corpus)} graphs")
 
@@ -105,8 +106,7 @@ def test_criterion_3_minimum_set_structure(connected_upto_6):
         if dmin < 1:
             continue
         for k in range(1, dmax + 1):
-            res = k_forcing_number(g, k, collect_all_minimum=True)
-            for s in res.all_minimum:
+            for s in k_forcing_sets(g, k, k_forcing_number(g, k).value):
                 outside = g.full_mask & ~s
                 for v in vertices_from(s):
                     need = min(g.degree(v), k)
@@ -143,7 +143,7 @@ def test_criterion_4_spread(connected_upto_6):
             continue
         base = k_forcing_number(g, 1).value
         for v in range(g.n):
-            if abs(base - k_forcing_number(g.delete_vertex(v), 1).value) > 1:
+            if abs(base - k_forcing_number(delete_vertex(g, v), 1).value) > 1:
                 failures.append((write_graph6(g), "vertex", v))
         for u, v in g.edges():
             if abs(base - k_forcing_number(g.delete_edge(u, v), 1).value) > 1:
@@ -157,7 +157,7 @@ def test_criterion_5_equality_reproductions():
 
     def expect_equality(g, k, bound, side=None, tag=""):
         rec = compute_record(g, max_n=max(12, g.n))
-        val = bound_value(bound, g, k, rec, side=side)
+        val = bound_value(bound, rec, k, side=side)
         idx = k
         if bound in (BoundId.RATIO, BoundId.COR3, BoundId.CONN_DOM,
                      BoundId.TREE_LEAF):
@@ -223,7 +223,7 @@ def test_criterion_6_cross_invariant_identities(connected_by_n, trees_by_n):
         k = rng.randint(1, 3)
         whole = k_forcing_number(g, k).value
         split = sum(
-            k_forcing_number(g.induced_subgraph(c), k).value for c in components(g)
+            k_forcing_number(induced_subgraph(g, c), k).value for c in components(g)
         )
         if whole != split:
             failures.append(("additivity", trial, write_graph6(g), k))
@@ -238,7 +238,7 @@ def test_criterion_7_confluence(connected_upto_6):
         dmax = degree_profile(g)[0]
         for k in range(1, max(dmax, 1) + 1):
             initials = [1 << v for v in range(g.n)]
-            initials += list(k_forcing_number(g, k, collect_all_minimum=True).all_minimum)
+            initials += k_forcing_sets(g, k, k_forcing_number(g, k).value)
             for init in initials:
                 if _fixpoint(g.adj, init, k) != closure_async(g, init, k):
                     failures.append((write_graph6(g), k, init))

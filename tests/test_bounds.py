@@ -3,11 +3,9 @@ from fractions import Fraction
 from kforcing import (
     ALL_BOUNDS,
     BoundId,
-    bound_value,
     compute_record,
     connected_k_domination,
     degree_profile,
-    disjoint_union,
     evaluate_bounds,
     k_forcing_number,
 )
@@ -23,25 +21,27 @@ from kforcing.families import (
     subdivided_star,
 )
 
+from bound_helper import bound_value
+from builders import disjoint_union
 from conftest import DATA
 
 
 def test_main_bound_value_k4():
     g = complete(4)
-    assert bound_value(BoundId.MAIN, g, 1, compute_record(g)) == Fraction(3)
+    assert bound_value(BoundId.MAIN, compute_record(g), 1) == Fraction(3)
     assert k_forcing_number(g, 1).value == 3
 
 
 def test_ratio_is_three_quarters_for_cubic():
     for g in (complete(4), complete_bipartite(3, 3)):
         rec = compute_record(g)
-        assert bound_value(BoundId.RATIO, g, 1, rec) == Fraction(3 * g.n, 4)
+        assert bound_value(BoundId.RATIO, rec, 1) == Fraction(3 * g.n, 4)
 
 
 def test_cor3_is_half_n_plus_one_for_max_degree_3():
     g = pendant_path(3)  # max degree 3
     assert degree_profile(g)[0] == 3
-    assert bound_value(BoundId.COR3, g, 1, compute_record(g)) == Fraction(g.n, 2) + 1
+    assert bound_value(BoundId.COR3, compute_record(g), 1) == Fraction(g.n, 2) + 1
 
 
 def test_main2_equality_on_complete_for_k_1_and_2():
@@ -49,36 +49,36 @@ def test_main2_equality_on_complete_for_k_1_and_2():
         g = complete(d + 1)
         rec = compute_record(g)
         for k in (1, 2):
-            val = bound_value(BoundId.MAIN2, g, k, rec)
+            val = bound_value(BoundId.MAIN2, rec, k)
             assert val == k_forcing_number(g, k).value
 
 
 def test_cor3_equality_on_balanced_bipartite():
     for d in (2, 3, 4):
         g = complete_bipartite(d, d)
-        val = bound_value(BoundId.COR3, g, 1, compute_record(g))
+        val = bound_value(BoundId.COR3, compute_record(g), 1)
         assert val == k_forcing_number(g, 1).value == 2 * d - 2
 
 
 def test_gates_yield_not_applicable():
     k2 = path(2)
     rec = compute_record(k2)
-    assert bound_value(BoundId.COR3, k2, 1, rec) is None  # max degree 1
-    assert bound_value(BoundId.MAIN, k2, 2, compute_record(k2)) is None  # D < k
+    assert bound_value(BoundId.COR3, rec, 1) is None  # max degree 1
+    assert bound_value(BoundId.MAIN, compute_record(k2), 2) is None  # D < k
     c5 = cycle(5)
-    assert bound_value(BoundId.HAM_CHORDS, c5, 1, compute_record(c5)) is None  # t = 0
+    assert bound_value(BoundId.HAM_CHORDS, compute_record(c5), 1) is None  # t = 0
     k3 = complete(3)
-    assert bound_value(BoundId.HAM_CHORDS, k3, 1, compute_record(k3)) is None  # n < 4
-    assert bound_value(BoundId.TREE_LEAF, c5, 1, compute_record(c5)) is None  # not a tree
+    assert bound_value(BoundId.HAM_CHORDS, compute_record(k3), 1) is None  # n < 4
+    assert bound_value(BoundId.TREE_LEAF, compute_record(c5), 1) is None  # not a tree
     iso = disjoint_union(path(2), complete(1))
-    assert bound_value(BoundId.RATIO, iso, 1, compute_record(iso)) is None  # min degree 0
-    assert bound_value(BoundId.CONN_DOM, iso, 1, compute_record(iso)) is None
+    assert bound_value(BoundId.RATIO, compute_record(iso), 1) is None  # min degree 0
+    assert bound_value(BoundId.CONN_DOM, compute_record(iso), 1) is None
 
 
 def test_lower_deg_always_applicable():
     for g in (path(2), cycle(5), disjoint_union(path(2), complete(1))):
         rec = compute_record(g)
-        val = bound_value(BoundId.LOWER_DEG, g, 1, rec)
+        val = bound_value(BoundId.LOWER_DEG, rec, 1)
         assert val is not None
         assert rec.forcing[1] >= val
 
@@ -100,23 +100,23 @@ def test_tree_leaf_two_sided():
 def test_tree_leaf_values_on_families():
     for spine in (2, 3, 4):
         t = double_leaf_caterpillar(spine)
-        low = bound_value(BoundId.TREE_LEAF, t, 1, compute_record(t), side="lower")
+        low = bound_value(BoundId.TREE_LEAF, compute_record(t), 1, side="lower")
         assert low == k_forcing_number(t, 1).value  # lower end is tight
     for rays in (3, 4):
         t = subdivided_star(rays, 1)
-        up = bound_value(BoundId.TREE_LEAF, t, 1, compute_record(t), side="upper")
+        up = bound_value(BoundId.TREE_LEAF, compute_record(t), 1, side="upper")
         assert up == k_forcing_number(t, 1).value  # upper end is tight
 
 
 def test_tree_cor_tight_on_paths():
     t = path(6)
-    assert bound_value(BoundId.TREE_COR, t, 1, compute_record(t)) == Fraction(1)
+    assert bound_value(BoundId.TREE_COR, compute_record(t), 1) == Fraction(1)
 
 
 def test_cycle_tree_bound():
     g = cycle_tree((3, 4, 3))
     rec = compute_record(g)
-    assert bound_value(BoundId.CYCLE_TREE, g, 1, rec) == Fraction(6)
+    assert bound_value(BoundId.CYCLE_TREE, rec, 1) == Fraction(6)
     assert rec.forcing[1] <= 6
 
 
@@ -135,7 +135,7 @@ def test_star_free_bounds_pick_smallest_r():
 
 def test_evaluate_bounds_c6_all_satisfied_conn_dom_tight():
     g = cycle(6)
-    reports = evaluate_bounds(g, [1, 2], graph_id="C6")
+    reports = evaluate_bounds(g, [1, 2])
     assert all(r.satisfied for r in reports if r.applicable)
     conn_dom = [r for r in reports if r.bound is BoundId.CONN_DOM and r.k == 1][0]
     assert conn_dom.equality and conn_dom.bound_value == Fraction(2)
@@ -218,12 +218,12 @@ def test_gated_off_invariant_is_never_computed():
 
 def test_comparison_examples():
     c4, k4, p4 = cycle(4), complete(4), path(4)
-    assert bound_value(BoundId.MAIN2, c4, 2, compute_record(c4)) == Fraction(1)
-    assert bound_value(BoundId.MAIN, c4, 2, compute_record(c4)) == Fraction(4, 3)
-    assert bound_value(BoundId.MAIN2, k4, 1, compute_record(k4)) == Fraction(3)
-    assert bound_value(BoundId.MAIN, k4, 1, compute_record(k4)) == Fraction(3)
+    assert bound_value(BoundId.MAIN2, compute_record(c4), 2) == Fraction(1)
+    assert bound_value(BoundId.MAIN, compute_record(c4), 2) == Fraction(4, 3)
+    assert bound_value(BoundId.MAIN2, compute_record(k4), 1) == Fraction(3)
+    assert bound_value(BoundId.MAIN, compute_record(k4), 1) == Fraction(3)
     # MAIN2 needs k-connectivity: a path is not 2-connected
-    assert bound_value(BoundId.MAIN2, p4, 2, compute_record(p4)) is None
+    assert bound_value(BoundId.MAIN2, compute_record(p4), 2) is None
 
 
 def test_comparison_improvement_holds_on_corpus(connected_upto_6):
@@ -234,8 +234,8 @@ def test_comparison_improvement_holds_on_corpus(connected_upto_6):
         for k in (1, 2):
             if rec.min_degree < k or not rec.k_connected[k] or rec.max_degree < 2:
                 continue
-            main = bound_value(BoundId.MAIN, g, k, rec)
-            assert bound_value(BoundId.MAIN2, g, k, rec) <= main
+            main = bound_value(BoundId.MAIN, rec, k)
+            assert bound_value(BoundId.MAIN2, rec, k) <= main
             claimed += 1
     assert claimed > 100
 
@@ -261,7 +261,7 @@ def test_gamma_lower_equality_cases():
     cases += [star(4), complete(5)]  # max degree n-1
     for g in cases:
         rec = compute_record(g)
-        val = bound_value(BoundId.GAMMA_LOWER, g, 1, rec)
+        val = bound_value(BoundId.GAMMA_LOWER, rec, 1)
         assert val == rec.gamma_c, g
 
 
@@ -270,5 +270,5 @@ def test_kcor_equality_on_complete_unions_for_general_k():
         for k in (2, 3):
             g = disjoint_union(complete(d + 1), complete(d + 1))
             rec = compute_record(g)
-            val = bound_value(BoundId.KCOR, g, k, rec)
+            val = bound_value(BoundId.KCOR, rec, k)
             assert val == rec.forcing[k] == 2 * (d + 1 - k)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kforcing.cli import CampaignConfig, expand_family_spec, main
+from kforcing.cli import MAX_SWEEP, CampaignConfig, expand_family_spec, main
 from kforcing.families import FamilySpec
 from kforcing.graphio import MAX_ORDER, parse_graph6, write_graph6
 from kforcing.families import complete, complete_bipartite, cycle, star
@@ -55,6 +55,11 @@ def test_expand_family_spec():
         expand_family_spec("cycle:3:4")
     with pytest.raises(ValueError):
         expand_family_spec("cycle:3,4")
+    assert len(expand_family_spec("cycle_tree:1..100,1..1000")) == MAX_SWEEP
+    with pytest.raises(ValueError, match="expands to 100100 specs"):
+        expand_family_spec("cycle_tree:1..100,1..1001")
+    with pytest.raises(ValueError, match="expands to 100001 specs"):
+        expand_family_spec("complete_bipartite:1..100001:1")
 
 
 def test_gen_counts(tmp_path):
@@ -86,12 +91,38 @@ def test_gen_bad_spec():
      f"cycle: '3..1000000000000' exceeds graph6's largest order {MAX_ORDER}"),
     (["verify", "--spec", "cycle:3..1000000000000"],
      f"cycle: '3..1000000000000' exceeds graph6's largest order {MAX_ORDER}"),
+    # a sweep's size, the product of its range lengths, too
+    (["gen", "cycle_tree:1..100000,1..100000"],
+     "cycle_tree: 'cycle_tree:1..100000,1..100000' expands to 10000000000 specs, "
+     f"over {MAX_SWEEP}"),
 ])
 def test_bad_number_names_its_family_or_flag(argv, message):
     proc = run_cli(*argv)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
+
+
+def test_verify_reads_graph6_from_stdin(tmp_path):
+    corpus = DATA / "connected_5.g6"
+
+    def run(source: str, stdin: str | None = None) -> tuple[str, bytes, bytes]:
+        jsonl, csv = tmp_path / "out.jsonl", tmp_path / "out.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "kforcing.cli", "verify", "-i", source,
+             "--out-jsonl", str(jsonl), "--out-csv", str(csv)],
+            input=stdin, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout, jsonl.read_bytes(), csv.read_bytes()
+
+    piped = run("-", corpus.read_text(encoding="ascii"))
+    assert piped == run(str(corpus))
+    assert piped[0].startswith("verify: checked=514 ")
+    # a closed stdin is an input error, not a traceback
+    proc = subprocess.run([sys.executable, "-m", "kforcing.cli", "verify", "-i", "-"],
+                          capture_output=True, text=True, preexec_fn=lambda: os.close(0))
+    assert proc.returncode == 2
+    assert proc.stderr == "error: [Errno 9] Bad file descriptor\n"
 
 
 def test_gen_unwritable_output_exits_2(tmp_path):
@@ -660,7 +691,7 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     assert proc.returncode == 0
     assert out.exists()
 
-    # in process: the forked runner really gets the worker count from the
+    # in process: the one runner really gets the worker count from the
     # environment, and an explicit --jobs overrides it
     import kforcing.verify
 
@@ -680,7 +711,7 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     runs.clear()
     assert main(["verify", "--input", str(DATA / "connected_4.g6"),
                  "--jobs", "1", "--out-jsonl", str(tmp_path / "one.jsonl")]) == 0
-    assert runs == []
+    assert runs == [1]
 
 
 def test_import_loads_no_process_pool():

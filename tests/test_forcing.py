@@ -7,18 +7,17 @@ from kforcing import (
     GraphError,
     components,
     degree_profile,
-    disjoint_union,
     is_k_forcing_number,
     is_k_forcing_set,
     k_forcing_number,
     k_forcing_sets,
-    mask_from,
     vertices_from,
 )
 from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
 from kforcing.graph import subsets_of_size
 
+from builders import delete_vertex, disjoint_union, induced_subgraph, mask_from
 from forcing_oracle import (
     closure,
     closure_async,
@@ -188,14 +187,16 @@ def test_witness_is_colex_first():
 
 
 def test_collect_all_minimum():
-    res = k_forcing_number(cycle(4), 1, collect_all_minimum=True)
+    # every minimum set: the level of k_forcing_sets at the value
+    res = k_forcing_number(cycle(4), 1)
+    all_minimum = tuple(k_forcing_sets(cycle(4), 1, res.value))
     assert res.value == 2
     # adjacent pairs around the square force; diagonals do not
-    assert set(res.all_minimum) == {
+    assert set(all_minimum) == {
         mask_from(p) for p in [(0, 1), (1, 2), (2, 3), (0, 3)]
     }
-    assert res.witness == res.all_minimum[0]
-    for m in res.all_minimum:
+    assert res.witness == all_minimum[0]
+    for m in all_minimum:
         assert is_k_forcing_set(cycle(4), m, 1)
 
 
@@ -244,7 +245,7 @@ def test_component_additivity_explicit():
     g = disjoint_union(complete(4), cycle(5), path(3))
     for k in (1, 2):
         parts = sum(
-            k_forcing_number(g.induced_subgraph(comp), k).value
+            k_forcing_number(induced_subgraph(g, comp), k).value
             for comp in components(g)
         )
         assert k_forcing_number(g, k).value == parts
@@ -307,7 +308,7 @@ def test_spread_examples():
     assert k_forcing_number(g, 1).value == 2
     assert k_forcing_number(g.delete_edge(0, 1), 1).value == 1
     k4 = complete(4)
-    assert k_forcing_number(k4.delete_vertex(0), 1).value == 2
+    assert k_forcing_number(delete_vertex(k4, 0), 1).value == 2
 
 
 def test_min_forcing_connected_complement_examples():

@@ -199,9 +199,9 @@ def test_search_cor3_reads_no_solver_but_forcing(tmp_path, capsys, monkeypatch):
     # the COR3 gate and value read n, the max degree and connectivity only
     from kforcing import records
 
-    solvers = ("components", "connected_k_domination", "hamiltonian_cycle",
-               "is_cycle_tree", "k_independence_numbers", "min_star_free_index",
-               "path_cover_number", "vertex_connectivity")
+    solvers = ("connected_k_domination", "hamiltonian_cycle", "is_cycle_tree",
+               "k_independence_numbers", "min_star_free_index", "path_cover_number",
+               "vertex_connectivity")
     for name in solvers:
         monkeypatch.setattr(records, name, lambda *a, name=name: pytest.fail(name))
     test_search_output_digest("cor3", tmp_path, capsys)

@@ -11,9 +11,7 @@ from kforcing import (
     GraphError,
     components,
     degree_profile,
-    disjoint_union,
     iter_bits,
-    mask_from,
     parse_graph6,
     subsets_of_size,
     vertices_from,
@@ -22,6 +20,7 @@ from kforcing.families import complete, cycle, path, star
 from kforcing.graph import LEVEL_CAP, from_upper_triangle, upper_triangle
 from kforcing.smallgraphs import canonical_graph, canonical_key
 
+from builders import delete_vertex, disjoint_union, induced_subgraph, mask_from
 from conftest import DATA
 
 
@@ -133,7 +132,7 @@ def test_components_connected_and_empty():
 def test_components_partition_properties(connected_upto_6):
     for g in connected_upto_6:
         for v in range(g.n):
-            h = g.delete_vertex(v)
+            h = delete_vertex(g, v)
             if h.n == 0:
                 continue
             comps = components(h)
@@ -168,7 +167,7 @@ def test_degree3_count_is_twice_chords_for_cubic_hamiltonian():
 
 def test_delete_vertex_reindexes_densely():
     g = path(4)
-    h = g.delete_vertex(1)  # 0, 2-3 -> relabeled 0, 1-2
+    h = delete_vertex(g, 1)  # 0, 2-3 -> relabeled 0, 1-2
     assert h.n == 3 and h.m == 1
     assert h.has_edge(1, 2) and not h.has_edge(0, 1)
 
@@ -184,7 +183,7 @@ def test_delete_edge():
 
 def test_induced_subgraph_preserves_order():
     g = cycle(5)
-    h = g.induced_subgraph(mask_from([0, 1, 3]))
+    h = induced_subgraph(g, mask_from([0, 1, 3]))
     assert h.n == 3
     assert list(h.edges()) == [(0, 1)]  # only edge 0-1 survives
 

@@ -81,6 +81,14 @@ def test_verify_with_workers_loads_no_process_pool():
     assert not {"concurrent.futures", "multiprocessing"} & loaded
 
 
+def test_verify_at_one_job_forks_nothing():
+    # the one runner imports what its forked workers need only when it forks
+    loaded = loaded_after(
+        "from kforcing.cli import main\n"
+        f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}, '--jobs', '1']) == 0")
+    assert not {"pickle", "signal", "tempfile"} & loaded
+
+
 def test_every_public_name_resolves_to_its_defining_module():
     for name in kforcing.__all__:
         value = getattr(kforcing, name)

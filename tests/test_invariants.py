@@ -8,13 +8,11 @@ from kforcing import (
     GraphError,
     connected_k_domination,
     degree_profile,
-    disjoint_union,
     hamiltonian_cycle,
     is_cycle_tree,
     iter_bits,
     k_forcing_number,
     k_independence_number,
-    mask_from,
     min_star_free_index,
     path_cover_number,
     subsets_of_size,
@@ -34,6 +32,7 @@ from kforcing.families import (
     subdivided_star,
 )
 
+from builders import disjoint_union, induced_subgraph, mask_from
 from spanning_tree_oracle import max_leaf_spanning_tree
 
 
@@ -576,5 +575,5 @@ def test_independence_of_every_neighbourhood_and_whole_graph(connected_upto_7):
 
     for g in connected_upto_7:
         for mask in (*g.adj, g.full_mask):
-            want = k_independence_number(g.induced_subgraph(mask), 1)[0] if mask else 0
+            want = k_independence_number(induced_subgraph(g, mask), 1)[0] if mask else 0
             assert _independence(g.adj, mask) == want

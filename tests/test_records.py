@@ -3,14 +3,16 @@ import pytest
 from kforcing import records
 from kforcing import (
     ExactScopeError,
+    components,
     compute_record,
     connected_k_domination,
-    disjoint_union,
     k_forcing_number,
     k_independence_number,
     vertex_k_connected,
 )
 from kforcing.families import complete, cycle, cycle_tree, path, star
+
+from builders import disjoint_union
 
 
 def test_record_matches_direct_computations():
@@ -18,7 +20,7 @@ def test_record_matches_direct_computations():
     rec = compute_record(g)
     assert (rec.n, rec.m) == (6, 6)
     assert (rec.max_degree, rec.min_degree, rec.leaf_count) == (2, 2, 0)
-    assert rec.connected and rec.component_count == 1
+    assert rec.connected and len(components(g)) == 1
     assert not rec.tree
     assert rec.forcing[1] == k_forcing_number(g, 1).value == 2
     assert rec.forcing[2] == 1
@@ -72,7 +74,7 @@ def test_record_first_alpha_read_fills_every_k_to_max_degree():
 def test_record_disconnected():
     g = disjoint_union(complete(3), path(2))
     rec = compute_record(g)
-    assert not rec.connected and rec.component_count == 2
+    assert not rec.connected and len(components(g)) == 2
     assert rec.gamma_c is None
     assert rec.forcing[1] == 3
     assert rec.k_connected[1] is False
@@ -111,13 +113,12 @@ def test_record_reads_no_component_until_asked(monkeypatch):
 
 
 def test_record_fields_match_their_definitions(connected_upto_6):
-    from kforcing import components, degree_profile
+    from kforcing import degree_profile
 
     for g in connected_upto_6 + [disjoint_union(complete(3), path(2), star(3))]:
         rec = compute_record(g)
         dmax, dmin, leaves, hist = degree_profile(g)
         assert (rec.n, rec.m, rec.max_degree, rec.min_degree) == (g.n, g.m, dmax, dmin)
         assert (rec.leaf_count, rec.degree3_count) == (leaves, hist.get(3, 0))
-        assert rec.component_count == len(components(g))
-        assert rec.connected == (rec.component_count == 1) == g.is_connected()
+        assert rec.connected == (len(components(g)) == 1) == g.is_connected()
         assert rec.tree == g.is_tree()

@@ -16,6 +16,7 @@ from kforcing.smallgraphs import (
     connected_graphs,
 )
 
+from builders import delete_vertex
 from canonical_oracle import _refined_coloring, canonical_key_oracle, ordered_cells
 from conftest import DATA
 from growth_oracle import unpruned_growth
@@ -146,7 +147,7 @@ def test_growth_reaches_a_class_whose_least_score_vertex_is_a_cut_vertex():
     # whose deletion disconnects the graph; 7 has the least eligible score
     k4 = [(u, v) for u in range(4) for v in range(u + 1, 4)]
     g = Graph.from_edges(9, k4 + [(u + 4, v + 4) for u, v in k4] + [(0, 8), (4, 8)])
-    h = g.delete_vertex(7)
+    h = delete_vertex(g, 7)
     grown = set()
     for nbrs in smallgraphs._kept_neighbour_sets(h, range(1, 1 << 8), connected=True):
         adj = (*(a | (nbrs >> v & 1) << 8 for v, a in enumerate(h.adj)), nbrs)

@@ -80,7 +80,7 @@ def assert_worker_matches_oracle(monkeypatch, index: int, g6: str):
     """The worker's block equals the oracle of evaluate_bounds' own reports."""
     g = parse_graph6(g6)
     ks = range(1, max(max(g.degree(v) for v in range(g.n)), 1) + 1)
-    reports = evaluate_bounds(g, ks, graph_id=index)
+    reports = evaluate_bounds(g, ks)
     result, outcomes = verify_with_outcomes(monkeypatch, index, g6)
     assert [outcome[:3] for outcome in outcomes] == [
         (rep.k, rep.bound, rep.side) for rep in reports]
@@ -113,35 +113,35 @@ def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
     cases = [
         # the not-applicable tail depends on k, bound and side alike
         ((1, BoundId.TREE_LEAF, "lower"),
-         BoundReport(7, 1, BoundId.TREE_LEAF, "lower", False)),
+         BoundReport(1, BoundId.TREE_LEAF, "lower", False)),
         ((1, BoundId.TREE_LEAF, "upper"),
-         BoundReport(7, 1, BoundId.TREE_LEAF, "upper", False)),
+         BoundReport(1, BoundId.TREE_LEAF, "upper", False)),
         ((2, BoundId.TREE_LEAF, "upper"),
-         BoundReport(7, 2, BoundId.TREE_LEAF, "upper", False)),
+         BoundReport(2, BoundId.TREE_LEAF, "upper", False)),
         ((2, BoundId.TREE_COR, "upper"),
-         BoundReport(7, 2, BoundId.TREE_COR, "upper", False)),
+         BoundReport(2, BoundId.TREE_COR, "upper", False)),
         ((1, BoundId.MAIN, "upper", 7, 2, 3, 1, ()),
-         BoundReport(7, 1, BoundId.MAIN, "upper", True, Fraction(7, 2), 3,
+         BoundReport(1, BoundId.MAIN, "upper", True, Fraction(7, 2), 3,
                      Fraction(1, 2), False, True)),
         ((1, BoundId.RATIO, "upper", 3, 1, 4, -1, ()),
-         BoundReport(7, 1, BoundId.RATIO, "upper", True, Fraction(3), 4,
+         BoundReport(1, BoundId.RATIO, "upper", True, Fraction(3), 4,
                      Fraction(-1), False, False)),
         ((2, BoundId.LOWER_DEG, "lower", -2, 1, 1, 3, ()),
-         BoundReport(7, 2, BoundId.LOWER_DEG, "lower", True, Fraction(-2), 1,
+         BoundReport(2, BoundId.LOWER_DEG, "lower", True, Fraction(-2), 1,
                      Fraction(3), False, True)),
         ((2, BoundId.K1R, "upper", 4, 1, 4, 0, (("r", 3), ("index", 4))),
-         BoundReport(7, 2, BoundId.K1R, "upper", True, Fraction(4), 4,
+         BoundReport(2, BoundId.K1R, "upper", True, Fraction(4), 4,
                      Fraction(0), True, True, (("r", 3), ("index", 4)))),
         # signs, slashes and several digits on both sides of the slash
         ((2, BoundId.KCOR, "upper", -1001, 6, 12, -1073, ()),
-         BoundReport(7, 2, BoundId.KCOR, "upper", True, Fraction(-1001, 6), 12,
+         BoundReport(2, BoundId.KCOR, "upper", True, Fraction(-1001, 6), 12,
                      Fraction(-1073, 6), False, False)),
         ((2, BoundId.GAMMA_LOWER, "lower", 1001, 2, 1000, 999, ()),
-         BoundReport(7, 2, BoundId.GAMMA_LOWER, "lower", True, Fraction(1001, 2),
+         BoundReport(2, BoundId.GAMMA_LOWER, "lower", True, Fraction(1001, 2),
                      1000, Fraction(999, 2), False, True)),
         # a pair not in lowest terms prints reduced, as its Fraction does
         ((1, BoundId.COR3, "upper", 14, 4, 3, 2, ()),
-         BoundReport(7, 1, BoundId.COR3, "upper", True, Fraction(7, 2), 3,
+         BoundReport(1, BoundId.COR3, "upper", True, Fraction(7, 2), 3,
                      Fraction(1, 2), False, True)),
     ]
     outcomes = [outcome for outcome, _ in cases]
