@@ -256,8 +256,9 @@ def _open_output(stack: ExitStack, path: str | None, **kwargs):
 def cmd_gen(args: argparse.Namespace) -> int:
     from .families import generate
 
+    # every spec is checked before -o is opened; a graph is built when written
     specs = [fs for text in args.specs for fs in expand_family_spec(text)]
-    write_graph6_file(args.out, [generate(fs) for fs in specs])
+    write_graph6_file(args.out, map(generate, specs))
     return EXIT_OK
 
 

@@ -7,7 +7,7 @@ import argparse
 import json
 import os
 import random
-from contextlib import ExitStack, closing
+from contextlib import ExitStack, closing, suppress
 from fractions import Fraction
 from operator import itemgetter
 from typing import Iterator
@@ -105,66 +105,65 @@ def _verify_one(
 def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
     """``map(_verify_one, work)`` run by ``jobs`` processes, this one included.
 
-    Chunk i of 8 tasks runs in process i % jobs; process 0 is this one and
-    the others are forked up front. A child appends each chunk's pickled
-    results, with a task's exception in its result's place, to a spool file
-    and writes the record's length to its pipe. This process yields in
-    input order, reading a child's record with ``os.pread``, and holds one
-    chunk at a time. With one process (``jobs`` 1, one chunk, or no
-    ``os.fork``) it runs every chunk alone and forks nothing. On any exit
-    it kills and reaps the children.
+    Chunk i of 8 tasks runs in process i % jobs: process 0 is this one, the
+    others are forked up front. A child pickles each chunk's results, a
+    task's exception in its result's place, into its own pipe: a full pipe
+    (1 MiB where the platform allows) blocks it, and its next write fails
+    once this process is gone. This process unpickles each chunk at its
+    turn, in input order. With one process (``jobs`` 1, one chunk, or no
+    ``os.fork``) it forks nothing. On any exit it kills and reaps children.
     """
     chunks = [work[i:i + 8] for i in range(0, len(work), 8)]
     procs = min(jobs, len(chunks)) if hasattr(os, "fork") else 1
-    if procs > 1:  # only forked workers spool and pickle
+    if procs > 1:  # only forked workers pickle
+        import fcntl
         import pickle
         import signal
-        import tempfile
-    children = []  # (pid, pipe read end, spool) of processes 1, 2, ...
+    children = []  # (pid, pipe reader) of processes 1, 2, ...
     try:
         for p in range(1, procs):
-            spool = tempfile.TemporaryFile()
             r, w = os.pipe()
+            with suppress(AttributeError, OSError):  # else the default size
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, 1 << 20)
             pid = os.fork()
             if pid == 0:  # the child never prints and skips exit handlers
                 try:
-                    for chunk in chunks[p::procs]:
-                        results = []
-                        try:
-                            for task in chunk:
-                                results.append(_verify_one(task))
-                        except BaseException as exc:
-                            results.append(exc)
-                        spool.write(record := pickle.dumps(results))
-                        spool.flush()
-                        os.write(w, len(record).to_bytes(8, "little"))
+                    os.close(r)  # only the main process reads the pipes
+                    for _, reader in children:
+                        reader.close()
+                    with open(w, "wb") as out:
+                        for chunk in chunks[p::procs]:
+                            results = []
+                            try:
+                                for task in chunk:
+                                    results.append(_verify_one(task))
+                            except BaseException as exc:
+                                results.append(exc)
+                            pickle.dump(results, out)
+                            out.flush()
                 finally:
                     os._exit(0)
             os.close(w)
-            children.append((pid, r, spool))
-        offsets = [0] * procs  # how far each child's spool has been read
+            children.append((pid, open(r, "rb")))
         for i, chunk in enumerate(chunks):
             p = i % procs
             if p == 0:
                 yield from map(_verify_one, chunk)
                 continue
-            pid, r, spool = children[p - 1]
-            size = int.from_bytes(os.read(r, 8), "little")  # 0 once the child is gone
-            if not size:
-                raise ChildProcessError(
-                    f"verify worker {p} (pid {pid}) exited without a result")
-            record = os.pread(spool.fileno(), size, offsets[p])
-            offsets[p] += size
-            for result in pickle.loads(record):
+            pid, reader = children[p - 1]
+            try:
+                results = pickle.load(reader)
+            except (EOFError, pickle.UnpicklingError):  # it died, maybe mid-record
+                raise ChildProcessError(f"verify worker {p} (pid {pid}) exited without a result")
+            for result in results:
                 if isinstance(result, BaseException):
                     raise result
                 yield result
     finally:
-        for pid, r, spool in children:
+        for pid, reader in children:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            os.close(r)
-            spool.close()
+            reader.close()
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

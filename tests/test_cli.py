@@ -81,6 +81,36 @@ def test_gen_bad_spec():
     assert proc.returncode == 2
 
 
+def test_gen_writes_the_graphs_before_a_constructor_error(tmp_path):
+    # every spec parses, so -o is opened; cycle:2 then fails in its constructor
+    out = tmp_path / "g.g6"
+    proc = run_cli("gen", "cycle:3..5", "cycle:2", "-o", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "error: cycle needs n >= 3, got 2\n"
+    assert [parse_graph6(s).n for s in out.read_text().splitlines()] == [3, 4, 5]
+
+
+def test_gen_builds_each_graph_when_the_writer_pulls_it(tmp_path, monkeypatch):
+    import kforcing.cli
+    import kforcing.families
+
+    built, pulled = [], []
+    generate = kforcing.families.generate
+    monkeypatch.setattr(kforcing.families, "generate",
+                        lambda fs: built.append(fs) or generate(fs))
+
+    def write_graph6_file(path, graphs):
+        assert iter(graphs) is graphs and built == []  # lazy: nothing built yet
+        for g in graphs:
+            pulled.append(g.n)
+            assert len(built) == len(pulled)
+
+    monkeypatch.setattr(kforcing.cli, "write_graph6_file", write_graph6_file)
+    assert main(["gen", "cycle:3..6", "-o", str(tmp_path / "g.g6")]) == 0
+    assert pulled == [3, 4, 5, 6]
+
+
 @pytest.mark.parametrize("argv, message", [
     (["gen", "cycle:x"], "cycle: expected an integer or a..b, got 'x'"),
     (["gen", "cycle_tree:"], "cycle_tree: expected an integer or a..b, got ''"),
@@ -641,6 +671,40 @@ def test_compute_record_prints_the_forcing_indices_bounds_read(capsys):
                         for check in entry.checks:
                             check.exact(rec, k)
                 assert [int(i) for i in printed] == sorted(read)
+
+
+@pytest.mark.parametrize("ks", ["auto", "1..3"])
+def test_compute_record_prints_every_index_bound_outcomes_reads(ks, capsys):
+    # a record refilled from compute's maps must answer every bound: each
+    # forcing, gamma_kc and alpha key bound_outcomes reads is printed
+    from kforcing import compute_record
+    from kforcing.bounds import bound_outcomes
+    from kforcing.cli import _parse_ks
+
+    class Noting:
+        """A record map that notes each key read through it."""
+
+        def __init__(self, known):
+            self.known, self.read = known, set()
+
+        def __getitem__(self, key):
+            self.read.add(key)
+            return self.known[key]
+
+    reads = 0
+    corpora = [f"connected_{n}" for n in range(1, 7)] + ["trees_8"]
+    for g6 in (g6 for c in corpora for g6 in (DATA / f"{c}.g6").read_text().split()):
+        assert main(["compute", "--graph6", g6, "--invariant", "record",
+                     "--ks", ks, "--json"]) == 0
+        printed = json.loads(capsys.readouterr().out)
+        rec = compute_record(parse_graph6(g6))
+        maps = {name: Noting(getattr(rec, name)) for name in ("forcing", "gamma_kc", "alpha")}
+        vars(rec).update(maps)  # in place of the cached on-demand maps
+        bound_outcomes(rec, _parse_ks(ks, rec.max_degree))
+        for name, noted in maps.items():
+            assert {str(i) for i in noted.read} <= printed[name].keys(), (g6, name)
+            reads += len(noted.read)
+    assert reads > 0
 
 
 def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):

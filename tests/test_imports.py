@@ -86,7 +86,15 @@ def test_verify_at_one_job_forks_nothing():
     loaded = loaded_after(
         "from kforcing.cli import main\n"
         f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}, '--jobs', '1']) == 0")
-    assert not {"pickle", "signal", "tempfile"} & loaded
+    assert not {"pickle", "signal", "tempfile", "fcntl"} & loaded
+
+
+def test_verify_with_workers_spools_nothing():
+    # the forked workers send their results through their pipes alone
+    loaded = loaded_after(
+        "from kforcing.cli import main\n"
+        f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}, '--jobs', '2']) == 0")
+    assert "pickle" in loaded and "tempfile" not in loaded
 
 
 def test_every_public_name_resolves_to_its_defining_module():

@@ -4,8 +4,11 @@ Every run here is in process, so the children are forked from the test
 process; after each run none of them may be left, running or unreaped.
 """
 
+import io
 import json
 import os
+import pickle
+import time
 
 import pytest
 
@@ -84,3 +87,67 @@ def test_without_fork_one_process_runs_every_chunk(tmp_path, capsys, monkeypatch
     serial = run_verify("connected_6", 1, tmp_path, capsys)
     monkeypatch.delattr(os, "fork")
     assert run_verify("connected_6", 2, tmp_path, capsys) == serial
+
+
+class _ExitWhenPickled:
+    def __reduce__(self):
+        os._exit(3)
+
+
+def test_a_child_that_dies_part_way_through_a_record_is_named(tmp_path, capsys,
+                                                               monkeypatch):
+    # graph 9's result, in the first child's first chunk, carries 256 KiB
+    # that reach the pipe before the object after them ends the child
+    parent = os.getpid()
+    original = verify._verify_one
+
+    def verify_one(task):
+        result = original(task)
+        if task[0] == 9 and os.getpid() != parent:
+            return result + ("x" * (1 << 18), _ExitWhenPickled())
+        return result
+
+    records = []  # what this process read of each record
+    pickle_load = pickle.load
+
+    def load(file):  # the child ends part-way, so its pipe ends there too
+        records.append(file.read())
+        return pickle_load(io.BytesIO(records[-1]))
+
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
+    monkeypatch.setattr(pickle, "load", load)
+    code, jsonl, csv, out, err = run_verify("connected_6", 2, tmp_path, capsys)
+    assert len(records) == 1 and len(records[0]) > 1 << 18  # cut after the padding
+    assert code == cli.EXIT_PARSE
+    assert {json.loads(line)["index"] for line in jsonl.splitlines()} == set(range(8))
+    assert csv == b"" and out == ""
+    assert err.startswith("error: verify worker 1 (pid ") and "\n" not in err[:-1]
+    assert err.endswith(") exited without a result\n")
+
+
+def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path, monkeypatch):
+    # each result is 256 KiB, so one chunk of 8 overfills a 1 MiB pipe: while
+    # this process holds its own first chunk, the child finishes its first
+    # chunk and waits to write it, where a child that never waits would
+    # run all 7
+    parent = os.getpid()
+    finished = tmp_path / "finished"
+    finished.touch()
+
+    def verify_one(task):
+        if os.getpid() != parent:
+            with open(finished, "a") as fh:
+                fh.write(".")
+        return task, "x" * (1 << 18)
+
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
+    results = verify._verify_forked(list(range(8 * 14)), 2)
+    assert next(results)[0] == 0  # the child is forked; chunk 0 is unfinished
+    deadline = time.monotonic() + 60
+    while finished.stat().st_size < 8 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.5)  # long enough for an unblocked child to finish its 56 tasks
+    assert finished.stat().st_size == 8
+    assert [index for index, _ in results] == list(range(1, 8 * 14))
+    assert finished.stat().st_size == 8 * 7
+    assert_no_child_left()
