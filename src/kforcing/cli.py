@@ -103,13 +103,13 @@ def _parse_config_file(path: str) -> dict:
 
 
 def _campaign(args: argparse.Namespace) -> CampaignConfig:
-    """Defaults, then $KFORCING_JOBS, then the config file, then the flags."""
+    """Defaults, then $KFORCING_JOBS (read by verify alone, the one command
+    with workers), then the config file, then the flags."""
+    jobs = os.environ.get(JOBS_ENV) if args.command == "verify" else None
     try:
-        cfg = CampaignConfig(jobs=int(os.environ.get(JOBS_ENV) or 1))
+        cfg = CampaignConfig(jobs=int(jobs or 1))
     except ValueError:
-        raise ValueError(
-            f"{JOBS_ENV} must be an integer, got {os.environ[JOBS_ENV]!r}"
-        ) from None
+        raise ValueError(f"{JOBS_ENV} must be an integer, got {jobs!r}") from None
     if getattr(args, "config", None):
         cfg = cfg._replace(**_parse_config_file(args.config))
     flags = {name: getattr(args, name, None) for name in CampaignConfig._fields}

@@ -9,8 +9,8 @@ import os
 import random
 from contextlib import ExitStack, closing, suppress
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterator
+from functools import partial
+from typing import Callable, Iterator
 
 from . import cli
 from .bounds import ALL_BOUNDS, BoundId, bound_outcomes
@@ -57,17 +57,19 @@ _TAILS: dict[tuple, str] = {}  # outcome -> _tail(outcome), filled per process
 
 
 def _verify_one(
-    task: tuple[int, str, int, list[int] | None, tuple[BoundId, ...], int, bool]
-) -> tuple[int, str, tuple[int, int, int], list[str], dict | None]:
-    """Worker: evaluate the configured bounds on one graph.
+    task: tuple[int, str, int], *, ks: list[int] | None, ids: tuple[BoundId, ...],
+    max_n: int, want_row: bool,
+) -> tuple[int, str, tuple[int, int, int], list[str], list | None]:
+    """Worker: evaluate the run's bounds, bound once by ``partial``, on one graph.
 
     Returns the graph's finished JSONL block, its (checked, equal,
-    not_applicable) counts, its ``VIOLATION:`` lines and its CSV row, which
+    not_applicable) counts, its ``VIOLATION:`` lines and its CSV row: the
+    columns with f1..f{max k} only, None where a k is not checked. The row
     reads gamma_c and alpha_1, so it is None unless ``want_row`` is set.
     ``ks`` None means auto: 1 up to the graph's maximum degree. The
     graph6 string and order ``n`` come from :func:`cli._load_graphs`, checked.
     """
-    index, g6, n, ks, ids, max_n, want_row = task
+    index, g6, n = task
     g = decode_graph6(g6, n)
     rec = compute_record(g, max_n=max_n)
     if ks is None:
@@ -94,16 +96,15 @@ def _verify_one(
                     f"VIOLATION: graph6={g6} k={k} bound={_BOUND_NAMES[bound]} "
                     f"side={side} bound_value={Fraction(p, q)} exact={exact}")
     counts = (len(outcomes) - not_applicable, len(equalities), not_applicable)
-    row = None if not want_row else {
-        "index": index, "graph6": g6, "n": g.n, "m": g.m,
-        "max_degree": rec.max_degree, "min_degree": rec.min_degree,
-        "forcing": {k: rec.forcing[k] for k in ks}, "gamma_c": rec.gamma_c,
-        "alpha_1": rec.alpha[1], "equalities": ";".join(equalities)}
+    row = None if not want_row else [
+        index, g6, g.n, g.m, rec.max_degree, rec.min_degree,
+        *(rec.forcing[k] if k in ks else None for k in range(1, ks[-1] + 1)),
+        rec.gamma_c, rec.alpha[1], ";".join(equalities)]
     return index, prefix + prefix.join(tails), counts, violations, row
 
 
-def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
-    """``map(_verify_one, work)`` run by ``jobs`` processes, this one included.
+def _verify_forked(verify_one: Callable, work: list[tuple], jobs: int) -> Iterator[tuple]:
+    """``map(verify_one, work)`` run by ``jobs`` processes, this one included.
 
     Chunk i of 8 tasks runs in process i % jobs: process 0 is this one, the
     others are forked up front. A child pickles each chunk's results, a
@@ -136,7 +137,7 @@ def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
                             results = []
                             try:
                                 for task in chunk:
-                                    results.append(_verify_one(task))
+                                    results.append(verify_one(task))
                             except BaseException as exc:
                                 results.append(exc)
                             pickle.dump(results, out)
@@ -148,7 +149,7 @@ def _verify_forked(work: list[tuple], jobs: int) -> Iterator[tuple]:
         for i, chunk in enumerate(chunks):
             p = i % procs
             if p == 0:
-                yield from map(_verify_one, chunk)
+                yield from map(verify_one, chunk)
                 continue
             pid, reader = children[p - 1]
             try:
@@ -179,39 +180,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if graph[1] == 0:
             raise GraphError(f"graph {index} has no vertices: {_graph_name(*graph)}")
 
-    indexed = list(enumerate(graphs))
-    if cfg.sample is not None and cfg.sample < len(indexed):
-        rng = random.Random(cfg.seed)
-        keep = sorted(rng.sample(range(len(indexed)), cfg.sample))
-        indexed = [indexed[i] for i in keep]
-
-    skipped = [(i, graph) for i, graph in indexed if graph[1] > cfg.max_n]
-    work = [(i, g6, n, ks, ids, cfg.max_n, bool(cfg.out_csv))
-            for i, (g6, n, _) in indexed if n <= cfg.max_n]
+    picked = range(len(graphs))
+    if cfg.sample is not None and cfg.sample < len(graphs):
+        picked = sorted(random.Random(cfg.seed).sample(picked, cfg.sample))
+    skipped = [i for i in picked if graphs[i][1] > cfg.max_n]
+    work = [(i, *graphs[i][:2]) for i in picked if graphs[i][1] <= cfg.max_n]
+    verify_one = partial(_verify_one, ks=ks, ids=ids, max_n=cfg.max_n,
+                         want_row=bool(cfg.out_csv))
 
     checked = equal = not_applicable = 0
     violations: list[str] = []
-    csv_rows = []
     with ExitStack() as stack:
         jsonl = cli._open_output(stack, cfg.out_jsonl)
-        csv = cli._open_output(stack, cfg.out_csv, newline="")
-        results = stack.enter_context(closing(_verify_forked(work, cfg.jobs)))
-        # results come in input order: write each graph's block as it lands
+        table = cli._open_output(stack, cfg.out_csv, newline="")
+        if table:
+            import csv
+            header = _csv_header(ks, work)
+            writer = csv.writer(table)
+            writer.writerow(header)
+        results = stack.enter_context(closing(_verify_forked(verify_one, work, cfg.jobs)))
+        # results come in input order: write each graph's block and row as it lands
         for _, text, (n_checked, n_equal, n_not_applicable), found, row in results:
             checked += n_checked
             equal += n_equal
             not_applicable += n_not_applicable
             violations += found
-            if csv:
-                csv_rows.append(row)
             if jsonl:
                 jsonl.write(text)
-        if csv:
-            _write_csv(csv, csv_rows)
+            if table:  # f{k} over the graph's largest k prints empty
+                row[-3:-3] = [None] * (len(header) - len(row))
+                writer.writerow(row)
 
-    for index, graph in skipped:
+    for index in skipped:
         print(f"skipped (n over scope cap {cfg.max_n}): index={index} "
-              f"{_graph_name(*graph)}")
+              f"{_graph_name(*graphs[index])}")
     print(
         f"verify: checked={checked} satisfied={checked - len(violations)} "
         f"equality={equal} not_applicable={not_applicable} "
@@ -222,17 +224,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return cli.EXIT_VIOLATION if violations else cli.EXIT_OK
 
 
-_CSV_HEAD = ("index", "graph6", "n", "m", "max_degree", "min_degree")
-_CSV_TAIL = ("gamma_c", "alpha_1", "equalities")
-
-
-def _write_csv(fh, rows: list[dict]) -> None:
-    import csv as csv_mod
-
-    ks = range(1, max((k for row in rows for k in row["forcing"]), default=0) + 1)
-    head, tail = itemgetter(*_CSV_HEAD), itemgetter(*_CSV_TAIL)
-    writer = csv_mod.writer(fh)
-    writer.writerow([*_CSV_HEAD, *(f"f{k}" for k in ks), *_CSV_TAIL])
-    # a missing f{k} (k over the graph's max degree) and None both print empty
-    writer.writerows([*head(row), *map(row["forcing"].get, ks), *tail(row)]
-                     for row in rows)
+def _csv_header(ks: list[int] | None, work: list[tuple[int, str, int]]) -> list[str]:
+    """The CSV's columns, f1..fK for the largest k checked on ``work``: for
+    auto ``ks``, max(max degree, 1) from a decoding pass that keeps no graph."""
+    top = ks[-1] if ks and work else max(
+        (max(1, *map(int.bit_count, decode_graph6(g6, n).adj)) for _, g6, n in work),
+        default=0)
+    return ["index", "graph6", "n", "m", "max_degree", "min_degree",
+            *(f"f{k}" for k in range(1, top + 1)), "gamma_c", "alpha_1", "equalities"]

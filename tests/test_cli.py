@@ -369,7 +369,7 @@ def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeyp
     import kforcing.verify
 
     monkeypatch.setattr(kforcing.verify, "_verify_one",
-                        lambda task: pytest.fail("verified a graph"))
+                        lambda task, **run: pytest.fail("verified a graph"))
     code = main(["verify", "--input", str(DATA / "connected_4.g6"), "--jobs", "1",
                  flag, str(tmp_path)])  # a directory
     out, err = capsys.readouterr()
@@ -426,14 +426,22 @@ def test_verify_bad_worker_count_exits_2(source, jobs, tmp_path, monkeypatch):
     assert proc.stderr.startswith("error: ")
 
 
-def test_search_non_integer_jobs_env_exits_2(tmp_path, monkeypatch):
-    src = tmp_path / "in.g6"
-    src.write_text("Dhc\n")
+def test_search_ignores_the_jobs_env(monkeypatch):
+    # search has no workers, so a bad $KFORCING_JOBS is not its error
+    argv = ["search", "--target", "cor3", "-i", str(DATA / "connected_4.g6")]
+    usual = run_cli(*argv)
+    assert usual.returncode == 0 and usual.stdout.startswith("search target=cor3 ")
     monkeypatch.setenv("KFORCING_JOBS", "x")
-    proc = run_cli("search", "--target", "cor3", "--input", str(src))
+    proc = run_cli(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, usual.stdout, "")
+
+
+def test_verify_non_integer_jobs_env_is_one_error_line(monkeypatch):
+    monkeypatch.setenv("KFORCING_JOBS", "x")
+    proc = run_cli("verify", "-i", str(DATA / "connected_4.g6"))
     assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
+    assert proc.stdout == ""
+    assert proc.stderr == "error: KFORCING_JOBS must be an integer, got 'x'\n"
 
 
 def test_verify_family_spec_input(tmp_path):
@@ -762,9 +770,9 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     runs = []
     forked = kforcing.verify._verify_forked
 
-    def recording(work, jobs):
+    def recording(verify_one, work, jobs):
         runs.append(jobs)
-        return forked(work, jobs)
+        return forked(verify_one, work, jobs)
 
     monkeypatch.setattr(kforcing.verify, "_verify_forked", recording)
     monkeypatch.setenv("KFORCING_JOBS", "2")

@@ -19,7 +19,7 @@ import kforcing.cli as cli
 import kforcing.verify as verify
 from kforcing.bounds import ALL_BOUNDS, BoundId, BoundReport, evaluate_bounds
 from kforcing.graphio import graph6_order, parse_graph6, write_graph6
-from kforcing.records import DEFAULT_MAX_N
+from kforcing.records import DEFAULT_MAX_N, compute_record
 from kforcing.smallgraphs import all_graphs
 
 from conftest import DATA
@@ -58,8 +58,8 @@ def verify_with_outcomes(monkeypatch, index: int, g6: str, ks=None, outcomes=Non
     real = verify.bound_outcomes
     with monkeypatch.context() as patch:
         patch.setattr(verify, "bound_outcomes", outcomes_of)
-        result = verify._verify_one((index, *graph6_order(g6), ks, ALL_BOUNDS,
-                                  DEFAULT_MAX_N, True))
+        result = verify._verify_one((index, *graph6_order(g6)), ks=ks, ids=ALL_BOUNDS,
+                                    max_n=DEFAULT_MAX_N, want_row=True)
     return result, list(seen)
 
 
@@ -156,7 +156,7 @@ def test_block_matches_oracle_on_hand_made_reports(monkeypatch):
                          "bound_value=-1001/6 exact=12"]
     assert '"bound_value": "-1001/6", "exact": 12, "slack": "-1073/6"' in result[1]
     assert '"graph6": "EC\\\\o"' in result[1]
-    assert result[4]["equalities"] == "K1R@2:upper"
+    assert result[4][-1] == "K1R@2:upper"  # the CSV row ends with its equalities
 
 
 def line_of(outcome: tuple) -> dict:
@@ -228,17 +228,33 @@ def dictwriter_csv(rows: list[dict]) -> str:
     return out.getvalue()
 
 
-def test_csv_rows_match_the_dictwriter_oracle():
+def oracle_row(index: int, g6: str, ks: list[int] | None) -> dict:
+    """One graph's CSV row as a dict, from its record and evaluate_bounds' reports."""
+    g = parse_graph6(g6)
+    rec = compute_record(g)
+    ks = ks or cli._parse_ks("auto", rec.max_degree)
+    equalities = [f"{rep.bound.value}@{rep.k}:{rep.side}"
+                  for rep in evaluate_bounds(g, ks, ALL_BOUNDS, rec=rec)
+                  if rep.applicable and rep.equality]
+    return {"index": index, "graph6": g6, "n": g.n, "m": g.m,
+            "max_degree": rec.max_degree, "min_degree": rec.min_degree,
+            "forcing": {k: rec.forcing[k] for k in ks}, "gamma_c": rec.gamma_c,
+            "alpha_1": rec.alpha[1], "equalities": ";".join(equalities)}
+
+
+def test_csv_rows_match_the_dictwriter_oracle(tmp_path):
     # every graph on 5 vertices, the disconnected ones (gamma_c None) too
     lines = [write_graph6(g) for g in all_graphs(5)]
     lines += (DATA / "connected_6.g6").read_text().split()[:40]
-    for ks in (None, [2, 4], [1, 3, 12]):
-        rows = [verify._verify_one((i, *graph6_order(g6), ks, ALL_BOUNDS, DEFAULT_MAX_N,
-                                 True))[4] for i, g6 in enumerate(lines)]
-        assert any(row["gamma_c"] is None for row in rows)
-        out = io.StringIO(newline="")
-        verify._write_csv(out, rows)
-        assert out.getvalue() == dictwriter_csv(rows)
-    out = io.StringIO(newline="")
-    verify._write_csv(out, [])
-    assert out.getvalue() == dictwriter_csv([])
+    corpus, out = tmp_path / "in.g6", tmp_path / "out.csv"
+    # the edgeless graphs alone still check k = 1 under auto
+    for graphs in (lines, ["@", "D??"], []):
+        corpus.write_text("".join(line + "\n" for line in graphs))
+        for ks in (None, [2, 4], [1, 3, 12]):
+            k = "auto" if ks is None else ",".join(map(str, ks))
+            # two disconnected graphs break K1R and CLAWFREE at k = 2
+            assert cli.main(["verify", "-i", str(corpus), "--k", k, "--jobs", "1",
+                             "--out-csv", str(out)]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+            rows = [oracle_row(i, g6, ks) for i, g6 in enumerate(graphs)]
+            assert any(row["gamma_c"] is None for row in rows) or not graphs
+            assert out.read_bytes().decode() == dictwriter_csv(rows)

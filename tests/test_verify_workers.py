@@ -53,32 +53,57 @@ def test_output_is_the_same_at_every_worker_count(corpus, jobs, tmp_path, capsys
 def test_an_error_stops_the_run_as_at_one_job(bad, jobs, tmp_path, capsys, monkeypatch):
     original = verify._verify_one
 
-    def verify_one(task):
+    def verify_one(task, **run):
         if task[0] == bad:
             raise GraphError(f"cannot verify graph {bad}")
-        return original(task)
+        return original(task, **run)
 
     monkeypatch.setattr(verify, "_verify_one", verify_one)
     serial = run_verify("connected_6", 1, tmp_path, capsys)
     assert serial[0] == cli.EXIT_PARSE
     assert serial[4] == f"error: cannot verify graph {bad}\n"
     assert {json.loads(line)["index"] for line in serial[1].splitlines()} == set(range(bad))
+    assert len(serial[2].splitlines()) == 1 + bad  # the header and each earlier row
     assert run_verify("connected_6", jobs, tmp_path, capsys) == serial
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3])
+def test_an_error_leaves_the_csv_rows_before_it(jobs, tmp_path, capsys, monkeypatch):
+    clean = run_verify("connected_6", 1, tmp_path, capsys)[2].splitlines(keepends=True)
+    original = verify._verify_one
+
+    def verify_one(task, **run):
+        if task[0] == 13:
+            raise GraphError("cannot verify graph 13")
+        return original(task, **run)
+
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
+    code, _, csv, out, err = run_verify("connected_6", jobs, tmp_path, capsys)
+    assert code == cli.EXIT_PARSE
+    assert err == "error: cannot verify graph 13\n" and out == ""
+    assert csv == b"".join(clean[:14])  # the header, then graphs 0-12
+
+
+def first_chunk_csv(tmp_path, capsys) -> bytes:
+    """The CSV header and rows 0-7, the main process's first chunk, of connected_6."""
+    csv = run_verify("connected_6", 1, tmp_path, capsys)[2]
+    return b"".join(csv.splitlines(keepends=True)[:9])
 
 
 def test_a_child_that_dies_is_named(tmp_path, capsys, monkeypatch):
     parent = os.getpid()
     original = verify._verify_one
+    first_chunk = first_chunk_csv(tmp_path, capsys)
 
-    def verify_one(task):
+    def verify_one(task, **run):
         if task[0] == 13 and os.getpid() != parent:
             os._exit(3)
-        return original(task)
+        return original(task, **run)
 
     monkeypatch.setattr(verify, "_verify_one", verify_one)
     code, _, csv, out, err = run_verify("connected_6", 2, tmp_path, capsys)
     assert code == cli.EXIT_PARSE
-    assert csv == b"" and out == ""  # the CSV is written only at the end
+    assert csv == first_chunk and out == ""  # each row is written as it lands
     assert err.startswith("error: verify worker 1 (pid ")
     assert err.endswith(") exited without a result\n")
 
@@ -100,9 +125,10 @@ def test_a_child_that_dies_part_way_through_a_record_is_named(tmp_path, capsys,
     # that reach the pipe before the object after them ends the child
     parent = os.getpid()
     original = verify._verify_one
+    first_chunk = first_chunk_csv(tmp_path, capsys)
 
-    def verify_one(task):
-        result = original(task)
+    def verify_one(task, **run):
+        result = original(task, **run)
         if task[0] == 9 and os.getpid() != parent:
             return result + ("x" * (1 << 18), _ExitWhenPickled())
         return result
@@ -120,12 +146,12 @@ def test_a_child_that_dies_part_way_through_a_record_is_named(tmp_path, capsys,
     assert len(records) == 1 and len(records[0]) > 1 << 18  # cut after the padding
     assert code == cli.EXIT_PARSE
     assert {json.loads(line)["index"] for line in jsonl.splitlines()} == set(range(8))
-    assert csv == b"" and out == ""
+    assert csv == first_chunk and out == ""
     assert err.startswith("error: verify worker 1 (pid ") and "\n" not in err[:-1]
     assert err.endswith(") exited without a result\n")
 
 
-def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path, monkeypatch):
+def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path):
     # each result is 256 KiB, so one chunk of 8 overfills a 1 MiB pipe: while
     # this process holds its own first chunk, the child finishes its first
     # chunk and waits to write it, where a child that never waits would
@@ -140,8 +166,7 @@ def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path, monkeypatch
                 fh.write(".")
         return task, "x" * (1 << 18)
 
-    monkeypatch.setattr(verify, "_verify_one", verify_one)
-    results = verify._verify_forked(list(range(8 * 14)), 2)
+    results = verify._verify_forked(verify_one, list(range(8 * 14)), 2)
     assert next(results)[0] == 0  # the child is forked; chunk 0 is unfinished
     deadline = time.monotonic() + 60
     while finished.stat().st_size < 8 and time.monotonic() < deadline:
