@@ -163,7 +163,7 @@ BOUNDS: dict[BoundId, Bound] = {
         (Check("upper", lambda rec, k: _cor3(rec, k, less=1), _f_1),),
     ),
     BoundId.K1R: Bound(
-        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k,
+        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k and rec.connected,
         (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[_k1r_index(rec, k)],
                lambda rec, k: (("r", rec.star_free_index),
@@ -177,7 +177,7 @@ BOUNDS: dict[BoundId, Bound] = {
                                ("index", _k1r_index(rec, 1)))),),
     ),
     BoundId.CLAWFREE: Bound(
-        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k
+        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k and rec.connected
         and rec.star_free_index == 3,
         (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[2 * k],

@@ -165,37 +165,3 @@ def generate(spec: FamilySpec) -> Graph:
     except TypeError as exc:
         raise GraphError(f"bad arguments for {spec.family}: {spec.args}") from exc
 
-
-# -- recognizers (used by the equality-search classifier) -----------------
-
-def is_complete_graph(g: Graph) -> bool:
-    return g.n >= 1 and g.m == g.n * (g.n - 1) // 2
-
-
-def is_cycle_graph(g: Graph) -> bool:
-    return (
-        g.n >= 3
-        and g.is_connected()
-        and all(g.degree(v) == 2 for v in range(g.n))
-    )
-
-
-def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
-    """Part sizes (p, q) with p >= q if g is a complete bipartite graph."""
-    if g.n < 2 or not g.is_connected():
-        return None
-    side = [-1] * g.n
-    side[0] = 0
-    queue = [0]
-    for v in queue:
-        for u in g.neighbors(v):
-            if side[u] == -1:
-                side[u] = 1 - side[v]
-                queue.append(u)
-            elif side[u] == side[v]:
-                return None
-    p = side.count(0)
-    q = g.n - p
-    if g.m != p * q:
-        return None
-    return max(p, q), min(p, q)

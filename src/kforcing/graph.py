@@ -179,9 +179,6 @@ class Graph(Frozen):
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] & (1 << v))
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return vertices_from(self.adj[v])
-
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) with u < v, in lexicographic order."""
         for u in range(self.n):

@@ -10,9 +10,8 @@ from typing import Iterable, NamedTuple
 from . import cli
 from .bounds import BOUNDS
 from .forcing import is_k_forcing_number
-from .graph import Graph
 from .graphio import decode_graph6
-from .records import DEFAULT_MAX_N, compute_record
+from .records import DEFAULT_MAX_N, InvariantRecord, compute_record
 
 
 class EqualitySearchResult(NamedTuple):
@@ -29,18 +28,19 @@ class EqualitySearchResult(NamedTuple):
     skipped: int
 
 
-def _classify_achiever(g: Graph) -> str:
-    from .families import complete_bipartite_parts, is_complete_graph, is_cycle_graph
-
-    dmax = max(g.degree(v) for v in range(g.n))
-    if is_complete_graph(g) and g.n == dmax + 1:
+def _classify_achiever(rec: InvariantRecord) -> str:
+    """An achiever's shape, read from its record."""
+    if 2 * rec.m == rec.n * (rec.n - 1):
         return "complete"
-    parts = complete_bipartite_parts(g)
-    if parts is not None and parts[0] == parts[1]:
+    # only K_{p,q} has two distinct neighbourhoods, each part's being the
+    # other part: no vertex is in its own, and an edge puts each end in the other's
+    hoods = set(rec.graph.adj)
+    q, p = sorted(map(int.bit_count, hoods)) if len(hoods) == 2 else (0, 0)
+    if q and p == q:
         return "balanced_bipartite"
-    if is_cycle_graph(g):
+    if rec.connected and rec.max_degree == rec.min_degree == 2:
         return "cycle"
-    if parts is not None and parts[1] >= 2:
+    if q >= 2:
         return "bipartite_p_ge_q_ge_2"
     return "OTHER"
 
@@ -85,7 +85,7 @@ def search_equality(
         achievers.append({"index": index, "graph6": g6, "n": n,
                           "max_degree": rec.max_degree, "f1": f1,
                           "bound_value": str(value),
-                          "classification": _classify_achiever(g)})
+                          "classification": _classify_achiever(rec)})
 
     if predicted is None:
         status = "open_problem_data"

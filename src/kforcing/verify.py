@@ -10,7 +10,7 @@ import random
 from contextlib import ExitStack, closing, suppress
 from fractions import Fraction
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cli
 from .bounds import ALL_BOUNDS, BoundId, bound_outcomes
@@ -57,19 +57,20 @@ _TAILS: dict[tuple, str] = {}  # outcome -> _tail(outcome), filled per process
 
 
 def _verify_one(
-    task: tuple[int, str, int], *, ks: list[int] | None, ids: tuple[BoundId, ...],
-    max_n: int, want_row: bool,
+    index: int, *, graphs: list[tuple[str, int, str]], ks: list[int] | None,
+    ids: tuple[BoundId, ...], max_n: int, want_row: bool,
 ) -> tuple[int, str, tuple[int, int, int], list[str], list | None]:
-    """Worker: evaluate the run's bounds, bound once by ``partial``, on one graph.
+    """Worker: evaluate the run's bounds on ``graphs[index]``; the loaded
+    graphs and the run's settings are bound once by ``partial``.
 
     Returns the graph's finished JSONL block, its (checked, equal,
     not_applicable) counts, its ``VIOLATION:`` lines and its CSV row: the
     columns with f1..f{max k} only, None where a k is not checked. The row
     reads gamma_c and alpha_1, so it is None unless ``want_row`` is set.
-    ``ks`` None means auto: 1 up to the graph's maximum degree. The
-    graph6 string and order ``n`` come from :func:`cli._load_graphs`, checked.
+    ``ks`` None means auto: 1 up to the graph's maximum degree. ``graphs``
+    holds the checked (graph6, n, origin) triples of :func:`cli._load_graphs`.
     """
-    index, g6, n = task
+    g6, n, _ = graphs[index]
     g = decode_graph6(g6, n)
     rec = compute_record(g, max_n=max_n)
     if ks is None:
@@ -103,7 +104,7 @@ def _verify_one(
     return index, prefix + prefix.join(tails), counts, violations, row
 
 
-def _verify_forked(verify_one: Callable, work: list[tuple], jobs: int) -> Iterator[tuple]:
+def _verify_forked(verify_one: Callable, work: Sequence[int], jobs: int) -> Iterator[tuple]:
     """``map(verify_one, work)`` run by ``jobs`` processes, this one included.
 
     Chunk i of 8 tasks runs in process i % jobs: process 0 is this one, the
@@ -184,8 +185,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cfg.sample is not None and cfg.sample < len(graphs):
         picked = sorted(random.Random(cfg.seed).sample(picked, cfg.sample))
     skipped = [i for i in picked if graphs[i][1] > cfg.max_n]
-    work = [(i, *graphs[i][:2]) for i in picked if graphs[i][1] <= cfg.max_n]
-    verify_one = partial(_verify_one, ks=ks, ids=ids, max_n=cfg.max_n,
+    work = [i for i in picked if graphs[i][1] <= cfg.max_n] if skipped else picked
+    verify_one = partial(_verify_one, graphs=graphs, ks=ks, ids=ids, max_n=cfg.max_n,
                          want_row=bool(cfg.out_csv))
 
     checked = equal = not_applicable = 0
@@ -195,7 +196,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         table = cli._open_output(stack, cfg.out_csv, newline="")
         if table:
             import csv
-            header = _csv_header(ks, work)
+            header = _csv_header(ks, (graphs[i][:2] for i in work))
             writer = csv.writer(table)
             writer.writerow(header)
         results = stack.enter_context(closing(_verify_forked(verify_one, work, cfg.jobs)))
@@ -224,11 +225,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     return cli.EXIT_VIOLATION if violations else cli.EXIT_OK
 
 
-def _csv_header(ks: list[int] | None, work: list[tuple[int, str, int]]) -> list[str]:
-    """The CSV's columns, f1..fK for the largest k checked on ``work``: for
-    auto ``ks``, max(max degree, 1) from a decoding pass that keeps no graph."""
-    top = ks[-1] if ks and work else max(
-        (max(1, *map(int.bit_count, decode_graph6(g6, n).adj)) for _, g6, n in work),
-        default=0)
+def _csv_header(ks: list[int] | None, pairs: Iterable[tuple[str, int]]) -> list[str]:
+    """The CSV's columns, f1..fK for the largest k checked on the (graph6, n)
+    ``pairs``: for auto ``ks``, max(max degree, 1) from a decoding pass that
+    keeps no graph."""
+    top = max((ks[-1] if ks else max(1, *map(int.bit_count, decode_graph6(g6, n).adj))
+               for g6, n in pairs), default=0)
     return ["index", "graph6", "n", "m", "max_degree", "min_degree",
             *(f"f{k}" for k in range(1, top + 1)), "gamma_c", "alpha_1", "equalities"]

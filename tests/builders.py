@@ -13,6 +13,11 @@ def mask_from(vertices: Iterable[int]) -> int:
     return m
 
 
+def neighbors(g: Graph, v: int) -> tuple[int, ...]:
+    """The neighbours of ``v`` in ``g``, in increasing order."""
+    return vertices_from(g.adj[v])
+
+
 def induced_subgraph(g: Graph, mask: int) -> Graph:
     """Subgraph of ``g`` induced by the vertices of ``mask``, re-indexed
     densely; relative vertex order is preserved."""

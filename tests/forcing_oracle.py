@@ -13,7 +13,7 @@ from itertools import combinations
 
 from kforcing import Graph, GraphError, iter_bits
 
-from builders import mask_from
+from builders import mask_from, neighbors
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ def min_forcing_cc_oracle(g: Graph, k: int) -> tuple[int, int]:
     """(size, witness mask) of a smallest k-forcing set whose complement
     induces a connected subgraph, by a set-based scan over itertools
     combinations, smallest size first."""
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    adj = {v: set(neighbors(g, v)) for v in range(g.n)}
 
     def connected(sub):
         sub = set(sub)

@@ -258,13 +258,14 @@ def test_criterion_8_equality_search(connected_upto_7):
         f1 = k_forcing_number(g, 1).value
         gc = connected_k_domination(g, 1)[0]
         if dmax >= 2 and Fraction(f1) == Fraction((dmax - 2) * g.n + 2, dmax - 1):
-            cls = _classify_achiever(g)
+            cls = _classify_achiever(compute_record(g))
             if cls in ("complete", "balanced_bipartite"):
                 cor3_predicted.append((write_graph6(g), cls))
             else:
                 cor3_others.append((write_graph6(g), cls, dmax))
         if f1 == g.n - gc:
-            conn_dom_achievers.append((write_graph6(g), _classify_achiever(g)))
+            conn_dom_achievers.append(
+                (write_graph6(g), _classify_achiever(compute_record(g))))
 
     # predicted instances within range: K_3..K_7 and K_{2,2}, K_{3,3}
     if len([c for _, c in cor3_predicted if c == "complete"]) != 5:

@@ -20,6 +20,9 @@ from kforcing.families import (
     star,
     subdivided_star,
 )
+from kforcing.cli import main
+from kforcing.graphio import write_graph6
+from kforcing.smallgraphs import all_graphs
 
 from bound_helper import bound_value
 from builders import disjoint_union
@@ -272,3 +275,14 @@ def test_kcor_equality_on_complete_unions_for_general_k():
             rec = compute_record(g)
             val = bound_value(BoundId.KCOR, rec, k)
             assert val == rec.forcing[k] == 2 * (d + 1 - k)
+
+
+def test_verify_finds_no_violation_on_any_graph_up_to_6_vertices(tmp_path, capsys):
+    # K1R and CLAWFREE need a connected graph: on K2 + P3 a component's
+    # maximum degree is below k = 2, so F_2 = 2 > n - alpha_2 = 1
+    corpus = tmp_path / "upto6.g6"
+    corpus.write_text("".join(write_graph6(g) + "\n" for n in range(1, 7)
+                              for g in all_graphs(n)))
+    assert main(["verify", "-i", str(corpus), "--jobs", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "violations=0" in out and "VIOLATION:" not in out

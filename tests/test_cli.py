@@ -369,7 +369,7 @@ def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeyp
     import kforcing.verify
 
     monkeypatch.setattr(kforcing.verify, "_verify_one",
-                        lambda task, **run: pytest.fail("verified a graph"))
+                        lambda index, **run: pytest.fail("verified a graph"))
     code = main(["verify", "--input", str(DATA / "connected_4.g6"), "--jobs", "1",
                  flag, str(tmp_path)])  # a directory
     out, err = capsys.readouterr()

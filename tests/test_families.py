@@ -8,18 +8,17 @@ from kforcing.families import (
     circulant,
     complete,
     complete_bipartite,
-    complete_bipartite_parts,
     cycle,
     cycle_tree,
     double_leaf_caterpillar,
-    is_complete_graph,
-    is_cycle_graph,
     path,
     pendant_path,
     star,
     subdivided_star,
 )
 from kforcing.invariants import is_bridge
+from kforcing.records import compute_record
+from kforcing.search import _classify_achiever
 
 
 def test_path_degenerate_is_k1():
@@ -85,7 +84,7 @@ def test_circulant_degrees():
     h = circulant(7, (1, 2))
     assert all(h.degree(v) == 4 for v in range(7))
     # C_6 with long chords is complete bipartite on the parity classes
-    assert complete_bipartite_parts(circulant(6, (1, 3))) == (3, 3)
+    assert _classify_achiever(compute_record(circulant(6, (1, 3)))) == "balanced_bipartite"
 
 
 def test_generate_dispatch_and_validation():
@@ -116,14 +115,3 @@ def test_family_spec_is_a_value_object():
     for twin in (pickle.loads(pickle.dumps(spec)), copy.copy(spec)):
         assert twin == spec
 
-
-def test_recognizers():
-    assert is_complete_graph(complete(5))
-    assert not is_complete_graph(cycle(5))
-    assert is_cycle_graph(cycle(7))
-    assert not is_cycle_graph(path(4))
-    assert complete_bipartite_parts(complete_bipartite(3, 2)) == (3, 2)
-    assert complete_bipartite_parts(cycle(4)) == (2, 2)
-    assert complete_bipartite_parts(cycle(5)) is None
-    assert complete_bipartite_parts(path(3)) == (2, 1)
-    assert complete_bipartite_parts(complete(3)) is None

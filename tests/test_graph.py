@@ -20,7 +20,7 @@ from kforcing.families import complete, cycle, path, star
 from kforcing.graph import LEVEL_CAP, from_upper_triangle, upper_triangle
 from kforcing.smallgraphs import canonical_graph, canonical_key
 
-from builders import delete_vertex, disjoint_union, induced_subgraph, mask_from
+from builders import delete_vertex, disjoint_union, induced_subgraph, mask_from, neighbors
 from conftest import DATA
 
 
@@ -30,7 +30,7 @@ def test_from_edges_basic():
     assert g.degree(1) == 2
     assert g.has_edge(0, 1) and not g.has_edge(0, 2)
     assert list(g.edges()) == [(0, 1), (1, 2), (2, 3)]
-    assert g.neighbors(1) == (0, 2)
+    assert neighbors(g, 1) == (0, 2)
 
 
 def test_validation_rejects_bad_graphs():

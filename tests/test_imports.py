@@ -35,7 +35,7 @@ def loaded_after(code: str) -> set[str]:
     ("from kforcing.smallgraphs import _main\n"
      "assert _main(['5', '--connected', '-o', '-']) == 0",
      {"graph", "graphio", "smallgraphs"}),
-    # verify over a file: no families, which only --spec, gen and search read
+    # verify over a file: no families, which only --spec and gen read
     ("from kforcing.cli import main\n"
      f"assert main(['verify', '-i', {str(DATA / 'connected_5.g6')!r}]) == 0",
      {"bounds", "cli", "forcing", "graph", "graphio", "invariants", "records",
@@ -48,8 +48,9 @@ def test_package_modules_loaded(code, allowed):
 
 @pytest.mark.parametrize("argv, absent", [
     (["verify", "-i", str(DATA / "connected_5.g6")], {"search", "compute", "families"}),
+    # search classifies its achievers from their records, not by families
     (["search", "--target", "cor3", "-i", str(DATA / "connected_5.g6")],
-     {"verify", "compute"}),
+     {"verify", "compute", "families"}),
     (["compute", "--graph6", "Dhc", "--invariant", "forcing"], {"verify", "search"}),
 ], ids=["verify", "search", "compute"])
 def test_a_command_loads_no_other_commands_module(argv, absent):

@@ -32,14 +32,14 @@ from kforcing.families import (
     subdivided_star,
 )
 
-from builders import disjoint_union, induced_subgraph, mask_from
+from builders import disjoint_union, induced_subgraph, mask_from, neighbors
 from spanning_tree_oracle import max_leaf_spanning_tree
 
 
 # -- independent oracles (set-based, no bitmask machinery) -------------------
 
 def gamma_kc_oracle(g: Graph, k: int):
-    adj = {v: set(g.neighbors(v)) for v in range(g.n)}
+    adj = {v: set(neighbors(g, v)) for v in range(g.n)}
 
     def connected(sub):
         sub = set(sub)
@@ -67,7 +67,7 @@ def alpha_k_oracle(g: Graph, k: int) -> int:
     for c in range(g.n, 0, -1):
         for combo in combinations(range(g.n), c):
             sub = set(combo)
-            if all(len(set(g.neighbors(v)) & sub) < k for v in sub):
+            if all(len(set(neighbors(g, v)) & sub) < k for v in sub):
                 return c
     return best
 

@@ -58,8 +58,9 @@ def verify_with_outcomes(monkeypatch, index: int, g6: str, ks=None, outcomes=Non
     real = verify.bound_outcomes
     with monkeypatch.context() as patch:
         patch.setattr(verify, "bound_outcomes", outcomes_of)
-        result = verify._verify_one((index, *graph6_order(g6)), ks=ks, ids=ALL_BOUNDS,
-                                    max_n=DEFAULT_MAX_N, want_row=True)
+        result = verify._verify_one(index, graphs={index: (*graph6_order(g6), "test")},
+                                    ks=ks, ids=ALL_BOUNDS, max_n=DEFAULT_MAX_N,
+                                    want_row=True)
     return result, list(seen)
 
 
@@ -252,9 +253,8 @@ def test_csv_rows_match_the_dictwriter_oracle(tmp_path):
         corpus.write_text("".join(line + "\n" for line in graphs))
         for ks in (None, [2, 4], [1, 3, 12]):
             k = "auto" if ks is None else ",".join(map(str, ks))
-            # two disconnected graphs break K1R and CLAWFREE at k = 2
             assert cli.main(["verify", "-i", str(corpus), "--k", k, "--jobs", "1",
-                             "--out-csv", str(out)]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+                             "--out-csv", str(out)]) == cli.EXIT_OK
             rows = [oracle_row(i, g6, ks) for i, g6 in enumerate(graphs)]
             assert any(row["gamma_c"] is None for row in rows) or not graphs
             assert out.read_bytes().decode() == dictwriter_csv(rows)

@@ -53,10 +53,10 @@ def test_output_is_the_same_at_every_worker_count(corpus, jobs, tmp_path, capsys
 def test_an_error_stops_the_run_as_at_one_job(bad, jobs, tmp_path, capsys, monkeypatch):
     original = verify._verify_one
 
-    def verify_one(task, **run):
-        if task[0] == bad:
+    def verify_one(index, **run):
+        if index == bad:
             raise GraphError(f"cannot verify graph {bad}")
-        return original(task, **run)
+        return original(index, **run)
 
     monkeypatch.setattr(verify, "_verify_one", verify_one)
     serial = run_verify("connected_6", 1, tmp_path, capsys)
@@ -72,10 +72,10 @@ def test_an_error_leaves_the_csv_rows_before_it(jobs, tmp_path, capsys, monkeypa
     clean = run_verify("connected_6", 1, tmp_path, capsys)[2].splitlines(keepends=True)
     original = verify._verify_one
 
-    def verify_one(task, **run):
-        if task[0] == 13:
+    def verify_one(index, **run):
+        if index == 13:
             raise GraphError("cannot verify graph 13")
-        return original(task, **run)
+        return original(index, **run)
 
     monkeypatch.setattr(verify, "_verify_one", verify_one)
     code, _, csv, out, err = run_verify("connected_6", jobs, tmp_path, capsys)
@@ -95,10 +95,10 @@ def test_a_child_that_dies_is_named(tmp_path, capsys, monkeypatch):
     original = verify._verify_one
     first_chunk = first_chunk_csv(tmp_path, capsys)
 
-    def verify_one(task, **run):
-        if task[0] == 13 and os.getpid() != parent:
+    def verify_one(index, **run):
+        if index == 13 and os.getpid() != parent:
             os._exit(3)
-        return original(task, **run)
+        return original(index, **run)
 
     monkeypatch.setattr(verify, "_verify_one", verify_one)
     code, _, csv, out, err = run_verify("connected_6", 2, tmp_path, capsys)
@@ -127,9 +127,9 @@ def test_a_child_that_dies_part_way_through_a_record_is_named(tmp_path, capsys,
     original = verify._verify_one
     first_chunk = first_chunk_csv(tmp_path, capsys)
 
-    def verify_one(task, **run):
-        result = original(task, **run)
-        if task[0] == 9 and os.getpid() != parent:
+    def verify_one(index, **run):
+        result = original(index, **run)
+        if index == 9 and os.getpid() != parent:
             return result + ("x" * (1 << 18), _ExitWhenPickled())
         return result
 
@@ -160,13 +160,13 @@ def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path):
     finished = tmp_path / "finished"
     finished.touch()
 
-    def verify_one(task):
+    def verify_one(index):
         if os.getpid() != parent:
             with open(finished, "a") as fh:
                 fh.write(".")
-        return task, "x" * (1 << 18)
+        return index, "x" * (1 << 18)
 
-    results = verify._verify_forked(verify_one, list(range(8 * 14)), 2)
+    results = verify._verify_forked(verify_one, range(8 * 14), 2)
     assert next(results)[0] == 0  # the child is forked; chunk 0 is unfinished
     deadline = time.monotonic() + 60
     while finished.stat().st_size < 8 and time.monotonic() < deadline:
@@ -176,3 +176,28 @@ def test_a_child_runs_no_further_ahead_than_its_pipe_holds(tmp_path):
     assert [index for index, _ in results] == list(range(1, 8 * 14))
     assert finished.stat().st_size == 8 * 7
     assert_no_child_left()
+
+
+def test_a_task_is_an_index_into_the_loaded_graphs(tmp_path, capsys, monkeypatch):
+    runs = []  # (work, each task the worker got) of each run
+    forked, original = verify._verify_forked, verify._verify_one
+
+    def recording(verify_one, work, jobs):
+        runs.append((work, []))
+        return forked(verify_one, work, jobs)
+
+    def verify_one(index, **run):
+        runs[-1][1].append(index)
+        return original(index, **run)
+
+    monkeypatch.setattr(verify, "_verify_forked", recording)
+    monkeypatch.setattr(verify, "_verify_one", verify_one)
+    serial = run_verify("connected_6", 1, tmp_path, capsys)
+    assert serial[0] == 0
+    assert runs == [(range(112), list(range(112)))]  # the whole corpus is a range
+    runs.clear()
+    assert cli.main(["verify", "-i", str(DATA / "connected_6.g6"), "--sample", "5",
+                     "--jobs", "1", "--out-jsonl", str(tmp_path / "s.jsonl")]) == 0
+    (work, tasks), = runs
+    assert work == tasks and len(tasks) == 5 and all(type(i) is int for i in tasks)
+    assert tasks == sorted(tasks)
