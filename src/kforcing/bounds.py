@@ -60,10 +60,23 @@ class Check(NamedTuple):
 
 
 class Bound(NamedTuple):
-    """A hypothesis gate and the checks it admits, in report order."""
+    """A gate, whose hypotheses are tested in order up to the first that
+    fails, and the checks it admits, in report order."""
 
-    gate: Callable[[InvariantRecord, int], bool]
+    gate: tuple[tuple[str, Callable[[InvariantRecord, int], bool]], ...]  # (name, test)
     checks: tuple[Check, ...]
+
+
+# the hypotheses that several gates state; a gate's own are written inline
+K1 = ("k = 1", lambda rec, k: k == 1)
+N_GE_2 = ("n >= 2", lambda rec, k: rec.n >= 2)
+CONNECTED = ("connected", lambda rec, k: rec.connected)
+K_CONNECTED = ("k-connected", lambda rec, k: rec.n > k and rec.kappa >= k)
+TREE = ("tree", lambda rec, k: rec.connected and rec.m == rec.n - 1)
+HAMILTONIAN = ("Hamiltonian", lambda rec, k: rec.hamiltonian)
+D_GE_K = ("D >= k", lambda rec, k: rec.max_degree >= k)
+D_GE_2 = ("D >= 2", lambda rec, k: rec.max_degree >= 2)
+MIN_D_GE_1 = ("d >= 1", lambda rec, k: rec.min_degree >= 1)
 
 
 def _q(p: int, q: int = 1) -> tuple[int, int]:
@@ -84,101 +97,92 @@ def _cor3(rec: InvariantRecord, k: int, less: int = 0) -> tuple[int, int]:
     return _q((d - 2) * rec.n + 2 - less * (d - 1), d - 1)
 
 
-def _connected_d2(rec: InvariantRecord, k: int) -> bool:
-    return k == 1 and rec.connected and rec.max_degree >= 2
-
-
 def _k1r_index(rec: InvariantRecord, k: int) -> int:
     return k * (rec.star_free_index - 1)
 
 
 BOUNDS: dict[BoundId, Bound] = {
-    BoundId.LOWER_DEG: Bound(
-        lambda rec, k: True,
-        (Check("lower", lambda rec, k: _q(rec.min_degree - k + 1), _f_k),),
-    ),
+    BoundId.LOWER_DEG: Bound(  # no hypothesis
+        (), (Check("lower", lambda rec, k: _q(rec.min_degree - k + 1), _f_k),)),
     BoundId.MAIN: Bound(
-        lambda rec, k: rec.n >= 2 and rec.max_degree >= k and rec.min_degree >= 1,
+        (D_GE_K, MIN_D_GE_1),
         (Check("upper", lambda rec, k: _q(
             (rec.max_degree - k + 1) * rec.n,
             rec.max_degree - k + 1 + min(rec.min_degree, k)), _f_k),),
     ),
     BoundId.KCOR: Bound(
-        lambda rec, k: rec.n >= 2 and rec.min_degree >= k,
+        (("d >= k", lambda rec, k: rec.min_degree >= k),),
         (Check("upper", lambda rec, k: _q(
             (rec.max_degree - k + 1) * rec.n, rec.max_degree + 1), _f_k),),
     ),
     BoundId.RATIO: Bound(
-        lambda rec, k: k == 1 and rec.min_degree >= 1,
+        (K1, MIN_D_GE_1),
         (Check("upper", lambda rec, k: _q(
             rec.max_degree * rec.n, rec.max_degree + 1), _f_1),),
     ),
     BoundId.CONN_KDOM: Bound(
-        lambda rec, k: rec.k_connected[k],
+        (K_CONNECTED,),
         (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_kc[k]), _f_k),),
     ),
     BoundId.CONN_DOM: Bound(
-        lambda rec, k: k == 1 and rec.connected and rec.n >= 2,
+        (K1, CONNECTED, N_GE_2),
         (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_c), _f_1),),
     ),
     BoundId.MAIN2: Bound(
-        lambda rec, k: rec.k_connected[k] and rec.max_degree >= 2,
+        (K_CONNECTED, D_GE_2),
         (Check("upper", lambda rec, k: _q(
             (rec.max_degree - 2) * rec.n + 2, rec.max_degree + k - 2), _f_k),),
     ),
-    BoundId.COR3: Bound(_connected_d2, (Check("upper", _cor3, _f_1),)),
+    BoundId.COR3: Bound((K1, CONNECTED, D_GE_2), (Check("upper", _cor3, _f_1),)),
     BoundId.CHAIN: Bound(
-        _connected_d2,
+        (K1, CONNECTED, D_GE_2),
         (Check("upper", _cor3, lambda rec, k: rec.n - rec.gamma_c),),
     ),
     BoundId.GAMMA_LOWER: Bound(
-        _connected_d2,
+        (K1, CONNECTED, D_GE_2),
         (Check("lower", lambda rec, k: _q(rec.n - 2, rec.max_degree - 1),
                lambda rec, k: rec.gamma_c),),
     ),
     BoundId.HAM_CHORDS: Bound(
-        lambda rec, k: k == 1 and rec.n >= 4 and rec.hamiltonian
-        and rec.chord_count >= 1,
+        (K1, HAMILTONIAN, ("t >= 1", lambda rec, k: rec.chord_count >= 1)),
         (Check("upper", lambda rec, k: _q(rec.chord_count + 1), _f_1,
                lambda rec, k: (("chords", rec.chord_count),)),),
     ),
     BoundId.HAM_CUBIC: Bound(
-        lambda rec, k: k == 1 and rec.max_degree == 3 and rec.degree3_count >= 2
-        and rec.hamiltonian,
+        (K1, ("D = 3", lambda rec, k: rec.max_degree == 3), HAMILTONIAN),
         (Check("upper", lambda rec, k: _q(rec.degree3_count + 2, 2), _f_1,
                lambda rec, k: (("degree3", rec.degree3_count),)),),
     ),
     BoundId.CYCLE_TREE: Bound(
-        lambda rec, k: k == 1 and rec.cycle_tree_q is not None,
+        (K1, ("cycle-tree", lambda rec, k: rec.cycle_tree_q is not None)),
         (Check("upper", lambda rec, k: _q(2 * rec.cycle_tree_q), _f_1,
                lambda rec, k: (("cycles", rec.cycle_tree_q),)),),
     ),
     BoundId.TREE_LEAF: Bound(
-        lambda rec, k: k == 1 and rec.tree and rec.n >= 2,
+        (K1, TREE, N_GE_2),
         (Check("lower", lambda rec, k: _q((rec.leaf_count + 1) // 2), _f_1),
          Check("upper", lambda rec, k: _q(rec.leaf_count - 1), _f_1)),
     ),
     BoundId.TREE_COR: Bound(
-        lambda rec, k: k == 1 and rec.tree and rec.max_degree >= 2,
+        (K1, TREE, D_GE_2),
         (Check("upper", lambda rec, k: _cor3(rec, k, less=1), _f_1),),
     ),
     BoundId.K1R: Bound(
-        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k and rec.connected,
+        (D_GE_K, CONNECTED),
         (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[_k1r_index(rec, k)],
                lambda rec, k: (("r", rec.star_free_index),
                                ("index", _k1r_index(rec, k)))),),
     ),
     BoundId.K1R_ALPHA: Bound(
-        lambda rec, k: k == 1 and rec.min_degree >= 1,
+        (K1, MIN_D_GE_1),
         (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[1]),
                lambda rec, k: rec.forcing[_k1r_index(rec, 1)],
                lambda rec, k: (("r", rec.star_free_index),
                                ("index", _k1r_index(rec, 1)))),),
     ),
     BoundId.CLAWFREE: Bound(
-        lambda rec, k: rec.min_degree >= 1 and rec.max_degree >= k and rec.connected
-        and rec.star_free_index == 3,
+        (D_GE_K, CONNECTED, ("claw-free", lambda rec, k: rec.star_free_index == 3)),
         (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
                lambda rec, k: rec.forcing[2 * k],
                lambda rec, k: (("index", 2 * k),)),),
@@ -218,15 +222,17 @@ def bound_outcomes(
     outcomes = []
     for k in ks:
         for bound, entry in entries:
-            if not entry.gate(rec, k):
-                outcomes.append((k, bound, entry.checks[-1].side))
-                continue
-            for side, value, exact, detail in entry.checks:
-                p, q = value(rec, k)
-                x = exact(rec, k)
-                outcomes.append((k, bound, side, p, q, x,
-                                 p - x * q if side == "upper" else x * q - p,
-                                 detail(rec, k)))
+            for _, holds in entry.gate:
+                if not holds(rec, k):
+                    outcomes.append((k, bound, entry.checks[-1].side))
+                    break
+            else:
+                for side, value, exact, detail in entry.checks:
+                    p, q = value(rec, k)
+                    x = exact(rec, k)
+                    outcomes.append((k, bound, side, p, q, x,
+                                     p - x * q if side == "upper" else x * q - p,
+                                     detail(rec, k)))
     return outcomes
 
 

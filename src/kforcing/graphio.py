@@ -199,8 +199,8 @@ def parse_edge_list(text: str) -> Graph:
             values = [int(p) for p in parts]
         except ValueError:
             raise GraphError(f"line {lineno}: expected integers, got {raw!r}") from None
-        if any(v < 0 for v in values):
-            raise GraphError(f"line {lineno}: negative vertex index")
+        if any(not 0 <= v < MAX_ORDER for v in values):  # so n fits graph6's largest order
+            raise GraphError(f"line {lineno}: vertex index outside 0..{MAX_ORDER - 1}")
         if len(values) == 1:
             present.add(values[0])
         elif len(values) == 2:

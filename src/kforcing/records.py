@@ -11,7 +11,6 @@ later reads.
 
 from __future__ import annotations
 
-from functools import cache
 from typing import Callable
 
 from .forcing import k_forcing_number
@@ -65,9 +64,9 @@ class _cached_property:
 class InvariantRecord:
     """Exact invariant values for one graph.
 
-    ``forcing``, ``gamma_kc``, ``alpha`` and ``k_connected`` are keyed by
-    the index they are computed at; looking up a missing index runs the
-    solver. ``get`` never computes, so it reports only what is known.
+    ``forcing``, ``gamma_kc`` and ``alpha`` are keyed by the index they
+    are computed at; looking up a missing index runs the solver. ``get``
+    never computes, so it reports only what is known.
     """
 
     def __init__(self, g: Graph):
@@ -104,11 +103,8 @@ class InvariantRecord:
         return _OnDemand(alphas)
 
     @_cached_property
-    def k_connected(self) -> _OnDemand:
-        g = self.graph
-        # one connectivity scan serves every k
-        kappa = cache(lambda: vertex_connectivity(g))
-        return _OnDemand(lambda known, k: g.n > k and kappa() >= k)
+    def kappa(self) -> int:
+        return vertex_connectivity(self.graph)
 
     @_cached_property
     def leaf_count(self) -> int:
@@ -121,10 +117,6 @@ class InvariantRecord:
     @_cached_property
     def connected(self) -> bool:
         return self.graph.is_connected()
-
-    @_cached_property
-    def tree(self) -> bool:
-        return self.connected and self.m == self.n - 1
 
     @property
     def gamma_c(self) -> int | None:
@@ -148,7 +140,7 @@ class InvariantRecord:
 
     @_cached_property
     def path_cover(self) -> int | None:
-        return path_cover_number(self.graph)[0] if self.tree else None
+        return path_cover_number(self.graph)[0] if self.graph.is_tree() else None
 
 
 def compute_record(g: Graph, max_n: int = DEFAULT_MAX_N) -> InvariantRecord:

@@ -73,19 +73,21 @@ def search_equality(
             continue
         g = decode_graph6(g6, n)
         rec = compute_record(g, max_n)
-        if not entry.gate(rec, 1):
-            continue
-        value, rest = divmod(*check.value(rec, 1))  # p/q with q > 0
-        if rest or not is_k_forcing_number(g, 1, value):  # no scan if not integral
-            continue
-        f1 = rec.forcing[1]
-        if f1 != value:
-            raise RuntimeError(f"level scans found F_1 = {value} but the "
-                               f"exact solver {f1}, graph6={g6}")
-        achievers.append({"index": index, "graph6": g6, "n": n,
-                          "max_degree": rec.max_degree, "f1": f1,
-                          "bound_value": str(value),
-                          "classification": _classify_achiever(rec)})
+        for _, holds in entry.gate:
+            if not holds(rec, 1):
+                break
+        else:
+            value, rest = divmod(*check.value(rec, 1))  # p/q with q > 0
+            if rest or not is_k_forcing_number(g, 1, value):  # no scan if not integral
+                continue
+            f1 = rec.forcing[1]
+            if f1 != value:
+                raise RuntimeError(f"level scans found F_1 = {value} but the "
+                                   f"exact solver {f1}, graph6={g6}")
+            achievers.append({"index": index, "graph6": g6, "n": n,
+                              "max_degree": rec.max_degree, "f1": f1,
+                              "bound_value": str(value),
+                              "classification": _classify_achiever(rec)})
 
     if predicted is None:
         status = "open_problem_data"

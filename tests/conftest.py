@@ -11,6 +11,7 @@ import pytest
 
 from kforcing import Graph, parse_graph6
 from kforcing.cli import build_parser
+from kforcing.smallgraphs import all_graphs
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -64,3 +65,11 @@ def connected_upto_7(connected_by_n):
 @pytest.fixture(scope="session")
 def trees_by_n():
     return {n: load_trees(n) for n in range(1, 11)}
+
+
+@pytest.fixture(scope="session")
+def all_upto_7():
+    """Every graph with 1 to 7 vertices up to isomorphism, disconnected ones too."""
+    graphs = [g for n in range(1, 8) for g in all_graphs(n)]
+    assert len(graphs) == 1252  # OEIS A000088
+    return graphs

@@ -1,4 +1,7 @@
+import os
 from fractions import Fraction
+
+import pytest
 
 from kforcing import (
     ALL_BOUNDS,
@@ -9,6 +12,7 @@ from kforcing import (
     evaluate_bounds,
     k_forcing_number,
 )
+from kforcing.bounds import BOUNDS, K_CONNECTED
 from kforcing.families import (
     complete,
     complete_bipartite,
@@ -27,6 +31,8 @@ from kforcing.smallgraphs import all_graphs
 from bound_helper import bound_value
 from builders import disjoint_union
 from conftest import DATA
+
+_, k_connected = K_CONNECTED  # the hypothesis's test
 
 
 def test_main_bound_value_k4():
@@ -71,7 +77,7 @@ def test_gates_yield_not_applicable():
     c5 = cycle(5)
     assert bound_value(BoundId.HAM_CHORDS, compute_record(c5), 1) is None  # t = 0
     k3 = complete(3)
-    assert bound_value(BoundId.HAM_CHORDS, compute_record(k3), 1) is None  # n < 4
+    assert bound_value(BoundId.HAM_CHORDS, compute_record(k3), 1) is None  # t = 0
     assert bound_value(BoundId.TREE_LEAF, compute_record(c5), 1) is None  # not a tree
     iso = disjoint_union(path(2), complete(1))
     assert bound_value(BoundId.RATIO, compute_record(iso), 1) is None  # min degree 0
@@ -216,7 +222,7 @@ def test_gated_off_invariant_is_never_computed():
     rec = compute_record(g)
     evaluate_bounds(g, [1, 2], rec=rec)
     assert 2 not in rec.gamma_kc  # CONN_KDOM needs 2-connectivity, which P4 lacks
-    assert rec.k_connected[2] is False
+    assert k_connected(rec, 2) is False
 
 
 def test_comparison_examples():
@@ -235,7 +241,7 @@ def test_comparison_improvement_holds_on_corpus(connected_upto_6):
     for g in connected_upto_6:
         rec = compute_record(g)
         for k in (1, 2):
-            if rec.min_degree < k or not rec.k_connected[k] or rec.max_degree < 2:
+            if rec.min_degree < k or not k_connected(rec, k) or rec.max_degree < 2:
                 continue
             main = bound_value(BoundId.MAIN, rec, k)
             assert bound_value(BoundId.MAIN2, rec, k) <= main
@@ -247,8 +253,11 @@ def test_readme_bounds_table_mirrors_bound_ids():
     readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
     table = readme.split("### Bounds", 1)[1].split("\n\n")
     rows = next(block for block in table if block.startswith("| Id"))
-    ids = [line.split("|")[1].strip() for line in rows.splitlines()[2:]]
-    assert ids == [b.value for b in BoundId]
+    cells = [[cell.strip() for cell in line.split("|")] for line in rows.splitlines()[2:]]
+    assert [row[1] for row in cells] == [b.value for b in BoundId]
+    # the Hypotheses column names each gate's hypotheses in the order it tests them
+    assert [row[3] for row in cells] == [
+        ", ".join(name for name, _ in BOUNDS[b].gate) or "always" for b in BoundId]
 
 
 def test_all_bound_ids_covered():
@@ -277,12 +286,21 @@ def test_kcor_equality_on_complete_unions_for_general_k():
             assert val == rec.forcing[k] == 2 * (d + 1 - k)
 
 
-def test_verify_finds_no_violation_on_any_graph_up_to_6_vertices(tmp_path, capsys):
-    # K1R and CLAWFREE need a connected graph: on K2 + P3 a component's
-    # maximum degree is below k = 2, so F_2 = 2 > n - alpha_2 = 1
-    corpus = tmp_path / "upto6.g6"
-    corpus.write_text("".join(write_graph6(g) + "\n" for n in range(1, 7)
-                              for g in all_graphs(n)))
+def assert_verify_finds_no_violation(graphs, corpus, capsys):
+    corpus.write_text("".join(write_graph6(g) + "\n" for g in graphs))
     assert main(["verify", "-i", str(corpus), "--jobs", "1"]) == 0
     out = capsys.readouterr().out
     assert "violations=0" in out and "VIOLATION:" not in out
+
+
+def test_verify_finds_no_violation_on_any_graph_up_to_7_vertices(all_upto_7, tmp_path,
+                                                                  capsys):
+    # K1R and CLAWFREE need a connected graph: on K2 + P3 a component's
+    # maximum degree is below k = 2, so F_2 = 2 > n - alpha_2 = 1
+    assert_verify_finds_no_violation(all_upto_7, tmp_path / "upto7.g6", capsys)
+
+
+@pytest.mark.skipif(os.environ.get("KFORCING_ACCEPT_N8") != "1",
+                    reason="set KFORCING_ACCEPT_N8=1 to verify all graphs with 8 vertices")
+def test_verify_finds_no_violation_on_any_graph_with_8_vertices(tmp_path, capsys):
+    assert_verify_finds_no_violation(all_graphs(8), tmp_path / "all8.g6", capsys)

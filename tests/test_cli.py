@@ -306,6 +306,8 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     ("Dhc\n", ["--out-csv", "/nonexistent/out.csv"]),
     ("Dhc\n", ["--k", "1..1000000000000"]),  # rejected before it is expanded
     ("Dhc\n", ["--max-n", "1000000000000", "--k", "1..1000000000000"]),
+    # rejected before a graph is built, whose size would be quadratic in n
+    ("0 1000000\n", ["--format", "edges"]),
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"

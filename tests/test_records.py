@@ -10,9 +10,13 @@ from kforcing import (
     k_independence_number,
     vertex_k_connected,
 )
+from kforcing.bounds import K_CONNECTED, TREE
 from kforcing.families import complete, cycle, cycle_tree, path, star
 
 from builders import disjoint_union
+
+_, k_connected = K_CONNECTED  # the hypotheses' tests
+_, tree = TREE
 
 
 def test_record_matches_direct_computations():
@@ -21,14 +25,15 @@ def test_record_matches_direct_computations():
     assert (rec.n, rec.m) == (6, 6)
     assert (rec.max_degree, rec.min_degree, rec.leaf_count) == (2, 2, 0)
     assert rec.connected and len(components(g)) == 1
-    assert not rec.tree
+    assert not tree(rec, 1)
     assert rec.forcing[1] == k_forcing_number(g, 1).value == 2
     assert rec.forcing[2] == 1
     assert rec.gamma_c == connected_k_domination(g, 1)[0] == 4
     assert rec.alpha[1] == k_independence_number(g, 1)[0] == 3
-    assert [rec.k_connected[k] for k in (1, 2)] == [
+    assert [k_connected(rec, k) for k in (1, 2)] == [
         vertex_k_connected(g, k) for k in (1, 2)
     ] == [True, True]
+    assert rec.kappa == 2
     assert rec.hamiltonian and rec.chord_count == 0
     assert rec.cycle_tree_q == 1
     assert rec.star_free_index == 3
@@ -38,7 +43,7 @@ def test_record_matches_direct_computations():
 def test_record_on_tree():
     t = star(4)
     rec = compute_record(t)
-    assert rec.tree and rec.path_cover == 3
+    assert tree(rec, 1) and rec.path_cover == 3
     assert rec.leaf_count == 4
     assert not rec.hamiltonian and rec.chord_count is None
     assert rec.cycle_tree_q is None
@@ -77,7 +82,7 @@ def test_record_disconnected():
     assert not rec.connected and len(components(g)) == 2
     assert rec.gamma_c is None
     assert rec.forcing[1] == 3
-    assert rec.k_connected[1] is False
+    assert k_connected(rec, 1) is False and rec.kappa == 0
 
 
 def test_record_scope_and_validation():
@@ -107,7 +112,7 @@ def test_record_reads_no_component_until_asked(monkeypatch):
     monkeypatch.setattr(Graph, "component_of", no_bfs)
     rec = compute_record(g)
     assert (rec.n, rec.m, rec.max_degree, rec.min_degree) == (7, 8, 3, 2)
-    assert "forcing" not in vars(rec) and "k_connected" not in vars(rec)
+    assert "forcing" not in vars(rec) and "kappa" not in vars(rec)
     with pytest.raises(AssertionError, match="component_of ran"):
         rec.connected
 
@@ -121,4 +126,4 @@ def test_record_fields_match_their_definitions(connected_upto_6):
         assert (rec.n, rec.m, rec.max_degree, rec.min_degree) == (g.n, g.m, dmax, dmin)
         assert (rec.leaf_count, rec.degree3_count) == (leaves, hist.get(3, 0))
         assert rec.connected == (len(components(g)) == 1) == g.is_connected()
-        assert rec.tree == g.is_tree()
+        assert tree(rec, 1) == g.is_tree()
