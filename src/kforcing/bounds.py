@@ -2,9 +2,10 @@
 
 :data:`BOUNDS` is the single statement of the bounds: each entry holds a
 gate and one check per direction, all functions of an invariant record
-and the index k. A record computes only the invariants those functions
-read. Bound values are exact rationals, never floored, held as integer
-pairs and checked in integer arithmetic. A graph failing a gate yields a
+and the index k. A corollary holds its theorem's check under its own
+gate. A record computes only the invariants those functions read. Bound
+values are exact rationals, never floored, held as integer pairs and
+checked in integer arithmetic. A graph failing a gate yields a
 not-applicable report, never a vacuous pass. A violated bound in a
 report signals an implementation bug (all bounds are proven) and is
 surfaced through ``satisfied=False``, never dropped.
@@ -88,18 +89,23 @@ def _f_k(rec: InvariantRecord, k: int) -> int:
     return rec.forcing[k]
 
 
-def _f_1(rec: InvariantRecord, k: int) -> int:
-    return rec.forcing[1]
-
-
-def _cor3(rec: InvariantRecord, k: int, less: int = 0) -> tuple[int, int]:
+def _main2(rec: InvariantRecord, k: int, less: int = 0) -> tuple[int, int]:
     d = rec.max_degree
-    return _q((d - 2) * rec.n + 2 - less * (d - 1), d - 1)
+    return _q((d - 2) * rec.n + 2 - less * (d + k - 2), d + k - 2)
 
 
 def _k1r_index(rec: InvariantRecord, k: int) -> int:
     return k * (rec.star_free_index - 1)
 
+
+# the checks of the theorems whose corollaries reuse them under their own gates
+KCOR_CHECK = Check("upper", lambda rec, k: _q(
+    (rec.max_degree - k + 1) * rec.n, rec.max_degree + 1), _f_k)
+CONN_KDOM_CHECK = Check("upper", lambda rec, k: _q(rec.n - rec.gamma_kc[k]), _f_k)
+MAIN2_CHECK = Check("upper", _main2, _f_k)
+K1R_CHECK = Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
+                  lambda rec, k: rec.forcing[_k1r_index(rec, k)],
+                  lambda rec, k: (("r", rec.star_free_index), ("index", _k1r_index(rec, k))))
 
 BOUNDS: dict[BoundId, Bound] = {
     BoundId.LOWER_DEG: Bound(  # no hypothesis
@@ -110,33 +116,15 @@ BOUNDS: dict[BoundId, Bound] = {
             (rec.max_degree - k + 1) * rec.n,
             rec.max_degree - k + 1 + min(rec.min_degree, k)), _f_k),),
     ),
-    BoundId.KCOR: Bound(
-        (("d >= k", lambda rec, k: rec.min_degree >= k),),
-        (Check("upper", lambda rec, k: _q(
-            (rec.max_degree - k + 1) * rec.n, rec.max_degree + 1), _f_k),),
-    ),
-    BoundId.RATIO: Bound(
-        (K1, MIN_D_GE_1),
-        (Check("upper", lambda rec, k: _q(
-            rec.max_degree * rec.n, rec.max_degree + 1), _f_1),),
-    ),
-    BoundId.CONN_KDOM: Bound(
-        (K_CONNECTED,),
-        (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_kc[k]), _f_k),),
-    ),
-    BoundId.CONN_DOM: Bound(
-        (K1, CONNECTED, N_GE_2),
-        (Check("upper", lambda rec, k: _q(rec.n - rec.gamma_c), _f_1),),
-    ),
-    BoundId.MAIN2: Bound(
-        (K_CONNECTED, D_GE_2),
-        (Check("upper", lambda rec, k: _q(
-            (rec.max_degree - 2) * rec.n + 2, rec.max_degree + k - 2), _f_k),),
-    ),
-    BoundId.COR3: Bound((K1, CONNECTED, D_GE_2), (Check("upper", _cor3, _f_1),)),
+    BoundId.KCOR: Bound((("d >= k", lambda rec, k: rec.min_degree >= k),), (KCOR_CHECK,)),
+    BoundId.RATIO: Bound((K1, MIN_D_GE_1), (KCOR_CHECK,)),
+    BoundId.CONN_KDOM: Bound((K_CONNECTED,), (CONN_KDOM_CHECK,)),
+    BoundId.CONN_DOM: Bound((K1, CONNECTED, N_GE_2), (CONN_KDOM_CHECK,)),
+    BoundId.MAIN2: Bound((K_CONNECTED, D_GE_2), (MAIN2_CHECK,)),
+    BoundId.COR3: Bound((K1, CONNECTED, D_GE_2), (MAIN2_CHECK,)),
     BoundId.CHAIN: Bound(
         (K1, CONNECTED, D_GE_2),
-        (Check("upper", _cor3, lambda rec, k: rec.n - rec.gamma_c),),
+        (Check("upper", _main2, lambda rec, k: rec.n - rec.gamma_c),),
     ),
     BoundId.GAMMA_LOWER: Bound(
         (K1, CONNECTED, D_GE_2),
@@ -145,46 +133,33 @@ BOUNDS: dict[BoundId, Bound] = {
     ),
     BoundId.HAM_CHORDS: Bound(
         (K1, HAMILTONIAN, ("t >= 1", lambda rec, k: rec.chord_count >= 1)),
-        (Check("upper", lambda rec, k: _q(rec.chord_count + 1), _f_1,
+        (Check("upper", lambda rec, k: _q(rec.chord_count + 1), _f_k,
                lambda rec, k: (("chords", rec.chord_count),)),),
     ),
     BoundId.HAM_CUBIC: Bound(
         (K1, ("D = 3", lambda rec, k: rec.max_degree == 3), HAMILTONIAN),
-        (Check("upper", lambda rec, k: _q(rec.degree3_count + 2, 2), _f_1,
+        (Check("upper", lambda rec, k: _q(rec.degree3_count + 2, 2), _f_k,
                lambda rec, k: (("degree3", rec.degree3_count),)),),
     ),
     BoundId.CYCLE_TREE: Bound(
         (K1, ("cycle-tree", lambda rec, k: rec.cycle_tree_q is not None)),
-        (Check("upper", lambda rec, k: _q(2 * rec.cycle_tree_q), _f_1,
+        (Check("upper", lambda rec, k: _q(2 * rec.cycle_tree_q), _f_k,
                lambda rec, k: (("cycles", rec.cycle_tree_q),)),),
     ),
     BoundId.TREE_LEAF: Bound(
         (K1, TREE, N_GE_2),
-        (Check("lower", lambda rec, k: _q((rec.leaf_count + 1) // 2), _f_1),
-         Check("upper", lambda rec, k: _q(rec.leaf_count - 1), _f_1)),
+        (Check("lower", lambda rec, k: _q((rec.leaf_count + 1) // 2), _f_k),
+         Check("upper", lambda rec, k: _q(rec.leaf_count - 1), _f_k)),
     ),
     BoundId.TREE_COR: Bound(
         (K1, TREE, D_GE_2),
-        (Check("upper", lambda rec, k: _cor3(rec, k, less=1), _f_1),),
+        (Check("upper", lambda rec, k: _main2(rec, k, less=1), _f_k),),
     ),
-    BoundId.K1R: Bound(
-        (D_GE_K, CONNECTED),
-        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
-               lambda rec, k: rec.forcing[_k1r_index(rec, k)],
-               lambda rec, k: (("r", rec.star_free_index),
-                               ("index", _k1r_index(rec, k)))),),
-    ),
-    BoundId.K1R_ALPHA: Bound(
-        (K1, MIN_D_GE_1),
-        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[1]),
-               lambda rec, k: rec.forcing[_k1r_index(rec, 1)],
-               lambda rec, k: (("r", rec.star_free_index),
-                               ("index", _k1r_index(rec, 1)))),),
-    ),
+    BoundId.K1R: Bound((D_GE_K, CONNECTED), (K1R_CHECK,)),
+    BoundId.K1R_ALPHA: Bound((K1, MIN_D_GE_1), (K1R_CHECK,)),
     BoundId.CLAWFREE: Bound(
         (D_GE_K, CONNECTED, ("claw-free", lambda rec, k: rec.star_free_index == 3)),
-        (Check("upper", lambda rec, k: _q(rec.n - rec.alpha[k]),
-               lambda rec, k: rec.forcing[2 * k],
+        (Check("upper", K1R_CHECK.value, lambda rec, k: rec.forcing[2 * k],
                lambda rec, k: (("index", 2 * k),)),),
     ),
 }

@@ -154,6 +154,20 @@ def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
                      for g, origin in built]
 
 
+def _load_corpus(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
+    """The graphs of :func:`_load_graphs`, once each is checked to have a vertex."""
+    graphs = _load_graphs(cfg)
+    for index, graph in enumerate(graphs):
+        if graph[1] == 0:
+            raise GraphError(f"graph {index} has no vertices: {_graph_name(*graph)}")
+    return graphs
+
+
+def _graph_name(g6: str | None, n: int, origin: str) -> str:
+    """A graph from :func:`_load_graphs` as messages name it."""
+    return f"graph6={g6}" if g6 is not None else f"n={n} {origin}"
+
+
 def _read_input(path: str, encoding: str) -> str:
     """The text of file ``path``, or of file descriptor 0 for ``-``,
     which stays open."""

@@ -80,8 +80,8 @@ def _record(g: Graph, args: argparse.Namespace) -> dict:
     rec = compute_record(g, max_n=args.max_n)
     ks = cli._parse_ks(args.ks, rec.max_degree, args.max_n)
     r = rec.star_free_index
-    # the indices the bounds read at these ks, whatever their gates
-    forcing_ks = {1, r - 1} | {i for k in ks for i in (k, k * (r - 1), 2 * k)}
+    # the indices the checks read at these ks, whatever their gates
+    forcing_ks = {i for k in ks for i in (k, k * (r - 1), 2 * k)}
     ks = sorted({1, *ks})
     return {
         "max_degree": rec.max_degree,

@@ -175,15 +175,14 @@ def vertex_k_connected(g: Graph, k: int) -> bool:
 # -- Hamiltonian cycles ----------------------------------------------------
 
 def hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
-    """Find a Hamiltonian cycle by backtracking, or None.
+    """Find a Hamiltonian cycle by backtracking, or None; a graph with
+    fewer than 3 vertices has none.
 
     The search starts at vertex 0 and tries neighbors in index order,
     so the returned cycle is deterministic. The chord count of a
     Hamiltonian graph is m - n.
     """
-    if g.n < 3:
-        raise GraphError("Hamiltonian cycles need n >= 3")
-    if any(g.degree(v) < 2 for v in range(g.n)):
+    if g.n < 3 or any(g.degree(v) < 2 for v in range(g.n)):
         return None
     adj, path, visited = g.adj, [0], 1
     untried = [adj[0] & ~1]  # untried[i]: the next vertices to try after path[i]

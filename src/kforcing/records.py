@@ -124,7 +124,7 @@ class InvariantRecord:
 
     @_cached_property
     def hamiltonian(self) -> bool:
-        return self.n >= 3 and hamiltonian_cycle(self.graph) is not None
+        return hamiltonian_cycle(self.graph) is not None
 
     @property
     def chord_count(self) -> int | None:

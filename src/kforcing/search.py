@@ -51,12 +51,12 @@ def search_equality(
     """Find every connected graph achieving the target equality at k = 1.
 
     ``graphs`` holds (graph6, n) pairs as :func:`graphio.graph6_order`
-    returns them; each graph in scope is decoded from its graph6 string,
-    so every reported string is the graph that was checked. Every
-    target's exact side is F_1, so an integral bound b is met iff
-    :func:`is_k_forcing_number` finds F_1 = b by two level scans; an
-    achiever's ``f1`` then comes from the exact solver, which checks the
-    equality a second time by another route.
+    returns them, each with at least one vertex; each graph in scope is
+    decoded from its graph6 string, so every reported string is the
+    graph that was checked. Every target's exact side is F_1, so an
+    integral bound b is met iff :func:`is_k_forcing_number` finds F_1 = b
+    by two level scans; an achiever's ``f1`` then comes from the exact
+    solver, which checks the equality a second time by another route.
     """
     if target not in cli._SEARCH_TARGETS:
         raise ValueError(f"unknown search target {target!r}")
@@ -68,8 +68,6 @@ def search_equality(
     for index, (g6, n) in enumerate(graphs):
         if n > max_n:
             skipped += 1
-            continue
-        if n < 2:
             continue
         g = decode_graph6(g6, n)
         rec = compute_record(g, max_n)
@@ -102,7 +100,7 @@ def search_equality(
 
 def cmd_search(args: argparse.Namespace) -> int:
     cfg = cli._campaign(args)
-    graphs = ((g6, n) for g6, n, _ in cli._load_graphs(cfg))
+    graphs = ((g6, n) for g6, n, _ in cli._load_corpus(cfg))
     with ExitStack() as stack:
         out = cli._open_output(stack, cfg.out_jsonl)
         result = search_equality(graphs, args.target, cfg.max_n)

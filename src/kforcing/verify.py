@@ -14,14 +14,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import cli
 from .bounds import ALL_BOUNDS, BoundId, bound_outcomes
-from .graph import GraphError
 from .graphio import decode_graph6
 from .records import compute_record
-
-
-def _graph_name(g6: str | None, n: int, origin: str) -> str:
-    """A graph from :func:`cli._load_graphs` as messages name it."""
-    return f"graph6={g6}" if g6 is not None else f"n={n} {origin}"
 
 
 def _parse_bounds(text: str) -> tuple[BoundId, ...]:
@@ -68,7 +62,7 @@ def _verify_one(
     columns with f1..f{max k} only, None where a k is not checked. The row
     reads gamma_c and alpha_1, so it is None unless ``want_row`` is set.
     ``ks`` None means auto: 1 up to the graph's maximum degree. ``graphs``
-    holds the checked (graph6, n, origin) triples of :func:`cli._load_graphs`.
+    holds the checked (graph6, n, origin) triples of :func:`cli._load_corpus`.
     """
     g6, n, _ = graphs[index]
     g = decode_graph6(g6, n)
@@ -176,10 +170,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"sample size must be non-negative, got {cfg.sample}")
     if cfg.jobs < 1:
         raise ValueError(f"worker count must be positive, got {cfg.jobs}")
-    graphs = cli._load_graphs(cfg)
-    for index, graph in enumerate(graphs):
-        if graph[1] == 0:
-            raise GraphError(f"graph {index} has no vertices: {_graph_name(*graph)}")
+    graphs = cli._load_corpus(cfg)
 
     picked = range(len(graphs))
     if cfg.sample is not None and cfg.sample < len(graphs):
@@ -214,7 +205,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     for index in skipped:
         print(f"skipped (n over scope cap {cfg.max_n}): index={index} "
-              f"{_graph_name(*graphs[index])}")
+              f"{cli._graph_name(*graphs[index])}")
     print(
         f"verify: checked={checked} satisfied={checked - len(violations)} "
         f"equality={equal} not_applicable={not_applicable} "

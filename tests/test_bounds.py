@@ -12,7 +12,7 @@ from kforcing import (
     evaluate_bounds,
     k_forcing_number,
 )
-from kforcing.bounds import BOUNDS, K_CONNECTED
+from kforcing.bounds import BOUNDS, K_CONNECTED, bound_outcomes
 from kforcing.families import (
     complete,
     complete_bipartite,
@@ -258,6 +258,34 @@ def test_readme_bounds_table_mirrors_bound_ids():
     # the Hypotheses column names each gate's hypotheses in the order it tests them
     assert [row[3] for row in cells] == [
         ", ".join(name for name, _ in BOUNDS[b].gate) or "always" for b in BoundId]
+
+
+# the paper's k = 1 corollaries of its general theorems: each holds its
+# theorem's check, under a gate that equals the theorem's at k = 1
+COROLLARIES = {BoundId.RATIO: BoundId.KCOR, BoundId.CONN_DOM: BoundId.CONN_KDOM,
+               BoundId.COR3: BoundId.MAIN2}
+
+
+def test_k1_corollaries_give_their_theorems_outcomes(all_upto_7):
+    for corollary, theorem in {**COROLLARIES, BoundId.K1R_ALPHA: BoundId.K1R}.items():
+        assert BOUNDS[corollary].checks[0] is BOUNDS[theorem].checks[0]
+    k1r_gates_differ = 0
+    for g in all_upto_7:
+        # (side,) where not applicable, else (side, p, q, exact, d, detail)
+        outcome = {bound: rest for _, bound, *rest in bound_outcomes(compute_record(g), [1])}
+        for corollary, theorem in COROLLARIES.items():
+            assert outcome[corollary] == outcome[theorem], (corollary, write_graph6(g))
+        # GAMMA_LOWER is CHAIN rearranged: gamma_c >= (n-2)/(D-1) with the same slack
+        chain, lower = outcome[BoundId.CHAIN], outcome[BoundId.GAMMA_LOWER]
+        assert len(chain) == len(lower), write_graph6(g)
+        if len(chain) > 1:
+            assert Fraction(chain[4], chain[2]) == Fraction(lower[4], lower[2])
+        # K1R_ALPHA is no instance of K1R: it asks d >= 1, not a connected graph
+        k1r, k1r_alpha = outcome[BoundId.K1R], outcome[BoundId.K1R_ALPHA]
+        if len(k1r) == len(k1r_alpha):
+            assert k1r == k1r_alpha
+        k1r_gates_differ += len(k1r) != len(k1r_alpha)
+    assert k1r_gates_differ == 48
 
 
 def test_all_bound_ids_covered():

@@ -213,6 +213,22 @@ def test_compute_empty_graph_exits_2(invariant):
     assert proc.stderr.startswith("error: ")
 
 
+@pytest.mark.parametrize("g6", ["@", "A_"])  # K1 and K2: no Hamiltonian cycle
+def test_compute_hamiltonian_below_3_vertices_is_false(g6, capsys):
+    assert main(["compute", "--graph6", g6, "--invariant", "hamiltonian", "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert (out["value"], out["cycle"], out["chords"]) == (False, None, None)
+
+
+@pytest.mark.parametrize("command", [["verify"], ["search", "--target", "cor3"]])
+def test_corpus_commands_reject_a_graph_with_no_vertices_first(command, tmp_path, capsys):
+    src, out = tmp_path / "in.g6", tmp_path / "out.jsonl"
+    src.write_text("?\nDhc\n")
+    assert main([*command, "-i", str(src), "--out-jsonl", str(out)]) == 2
+    assert capsys.readouterr() == ("", "error: graph 0 has no vertices: graph6=?\n")
+    assert not out.exists()
+
+
 def test_verify_clean_run_and_violation_contract(tmp_path):
     out = tmp_path / "v.jsonl"
     csv_out = tmp_path / "v.csv"
@@ -645,7 +661,7 @@ def test_every_search_target_decides_f1():
     from kforcing.cli import _SEARCH_TARGETS
 
     for bound_id, _ in _SEARCH_TARGETS.values():
-        assert [c.exact for c in bounds.BOUNDS[bound_id].checks] == [bounds._f_1]
+        assert [c.exact for c in bounds.BOUNDS[bound_id].checks] == [bounds._f_k]
 
 
 def test_verify_without_csv_runs_no_solver_for_the_row(monkeypatch, capsys):

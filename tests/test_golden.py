@@ -8,14 +8,19 @@ compute, search and gen digests were recorded before the CLI moved to
 table-driven dispatch and streamed ``verify`` output, and the
 ``connected_6`` digests before workers encoded their own JSONL.
 Set KFORCING_ACCEPT_N8=1 to also check ``verify`` over all of
-``connected_8``.
+``connected_8``, and KFORCING_ACCEPT_N9=1 to enumerate the connected
+graphs on 9 vertices and check ``verify`` over them (minutes).
 """
 
 import hashlib
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kforcing
 from kforcing.cli import main
 
 from conftest import DATA, compute_invariant_choices
@@ -104,6 +109,27 @@ def test_verify_connected_8_digest(jobs, tmp_path, capsys):
     assert code == 0
     assert (file_sha256(jsonl), file_sha256(csv)) == CONNECTED_8_DIGESTS
     assert out == CONNECTED_8_SUMMARY
+
+
+# the connected n = 9 campaign: its CSV and its summary line
+CONNECTED_9_CSV_SHA256 = "06ecf388833d568ac391011a0db3f591640be2ff888d0dbecc0e470f72d9a070"
+CONNECTED_9_SUMMARY = ("verify: checked=8132748 satisfied=8132748 equality=649520 "
+                       "not_applicable=20057873 violations=0 skipped=0\n")
+
+
+@pytest.mark.skipif(os.environ.get("KFORCING_ACCEPT_N9") != "1",
+                    reason="set KFORCING_ACCEPT_N9=1 to verify all of connected_9 (minutes)")
+def test_verify_connected_9_digest(tmp_path):
+    corpus, csv = tmp_path / "connected_9.g6", tmp_path / "out.csv"
+    env = {**os.environ, "PYTHONPATH": str(Path(kforcing.__file__).resolve().parent.parent)}
+    for argv in (["kforcing.smallgraphs", "9", "--connected", "-o", str(corpus)],
+                 ["kforcing", "verify", "-i", str(corpus), "--jobs", "2",
+                  "--out-jsonl", os.devnull, "--out-csv", str(csv)]):
+        proc = subprocess.run([sys.executable, "-m", *argv], capture_output=True,
+                              text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == CONNECTED_9_SUMMARY
+    assert file_sha256(csv) == CONNECTED_9_CSV_SHA256
 
 
 RECORD_DIGESTS = {

@@ -416,8 +416,8 @@ def test_hamiltonian_examples():
     assert cyc is not None
     assert k4.m - k4.n == 2
     assert hamiltonian_cycle(complete_bipartite(2, 3)) is None
-    with pytest.raises(GraphError):
-        hamiltonian_cycle(path(2))
+    assert hamiltonian_cycle(complete(1)) is None
+    assert hamiltonian_cycle(complete(2)) is None
 
 
 def test_hamiltonian_cycle_is_valid_and_matches_oracle(connected_upto_6):
