@@ -181,6 +181,28 @@ def test_compute_output_digest(invariant, capsys):
     assert sha256("".join(transcript).encode()) == COMPUTE_DIGESTS[invariant]
 
 
+# exit code, stdout and stderr of compute on every line of trees_1 .. trees_10
+# (201 trees), as text and as --json: no RECORD_DIGESTS graph is a tree, so
+# these pin the path cover partitions and the record's path_cover value
+TREE_COMPUTE_DIGESTS = {
+    "path-cover": "bcf6b2165f63bd1b918915cc0841317852fff4306b5d5c6e488d1491ea3e403a",
+    "record": "a6e5f4305dbe7ff5abede9194bf0dc14920c9ce64af31c25711d48fa88f5f34e",
+}
+
+
+@pytest.mark.parametrize("invariant", sorted(TREE_COMPUTE_DIGESTS))
+def test_compute_output_digest_over_shipped_trees(invariant, capsys):
+    transcript = []
+    for n in range(1, 11):
+        for g6 in (DATA / f"trees_{n}.g6").read_text(encoding="ascii").split():
+            for fmt in ([], ["--json"]):
+                code = main(["compute", "--graph6", g6, "--invariant", invariant, *fmt])
+                out, err = capsys.readouterr()
+                transcript.append(f"{code}\n{out}{err}")
+    assert len(transcript) == 402
+    assert sha256("".join(transcript).encode()) == TREE_COMPUTE_DIGESTS[invariant]
+
+
 SEARCH_DIGESTS = {  # target: (stdout, JSONL) over connected_7
     "conn-dom": (
         "6851cc6a63f58a060d204f1cff6b6d5a7dd9a7f3b874fe79eeded320a6d569d0",

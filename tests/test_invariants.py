@@ -1,3 +1,4 @@
+import os
 from itertools import combinations, permutations
 
 import pytest
@@ -20,6 +21,7 @@ from kforcing import (
     vertex_k_connected,
     vertices_from,
 )
+from kforcing.graphio import write_graph6
 from kforcing.invariants import k_independence_numbers
 from kforcing.families import (
     complete,
@@ -31,6 +33,7 @@ from kforcing.families import (
     star,
     subdivided_star,
 )
+from kforcing.smallgraphs import all_trees
 
 from builders import disjoint_union, induced_subgraph, mask_from, neighbors
 from spanning_tree_oracle import max_leaf_spanning_tree
@@ -319,10 +322,22 @@ def test_dp_used_beyond_brute_scope():
     _check_partition(t, parts)
 
 
-def test_path_cover_equals_zero_forcing_small(trees_by_n):
-    for n in (2, 4, 6, 8):
-        for t in trees_by_n[n]:
-            assert path_cover_number(t)[0] == k_forcing_number(t, 1).value
+def _assert_path_cover_is_zero_forcing(sizes) -> None:
+    # F_1 = path cover on trees (AIM Minimum Rank - Special Graphs Work
+    # Group, "Zero forcing sets and the minimum rank of graphs", LAA 2008)
+    for n in sizes:
+        for t in all_trees(n):
+            assert path_cover_number(t)[0] == k_forcing_number(t, 1).value, write_graph6(t)
+
+
+def test_path_cover_equals_zero_forcing_small():
+    _assert_path_cover_is_zero_forcing(range(1, 13))
+
+
+@pytest.mark.skipif(os.environ.get("KFORCING_ACCEPT_N8") != "1",
+                    reason="set KFORCING_ACCEPT_N8=1 for the trees with 13 and 14 vertices")
+def test_path_cover_equals_zero_forcing_on_13_and_14_vertices():
+    _assert_path_cover_is_zero_forcing((13, 14))
 
 
 # -- max-leaf spanning trees -----------------------------------------------------
