@@ -207,8 +207,8 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     ``a..b`` ranges. Scalar parameters take one group each; tuple
     parameters (cycle lengths, circulant steps) take the whole comma
     group as the value, with ranges product-expanded. A sweep of more
-    than :data:`MAX_SWEEP` specs (the product of its range lengths) is
-    rejected before any is built.
+    than :data:`MAX_SWEEP` specs (the product of its range lengths), or
+    of none, is rejected before any is built.
     """
     from .families import FAMILIES, FamilySpec
 
@@ -234,6 +234,8 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     size = prod(len(r) for _, ranges in params for r in ranges)
     if size > MAX_SWEEP:
         raise ValueError(f"{family}: {text!r} expands to {size} specs, over {MAX_SWEEP}")
+    if size == 0:  # a reversed range would check nothing and exit 0
+        raise ValueError(f"{family}: {text!r} expands to no spec")
     choices = [ranges[0] if shape == "int" else product(*ranges)
                for shape, ranges in params]
     return [FamilySpec(family, args) for args in product(*choices)]

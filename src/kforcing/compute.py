@@ -96,7 +96,7 @@ def _record(g: Graph, args: argparse.Namespace) -> dict:
         "chord_count": rec.chord_count,
         "cycle_tree_q": rec.cycle_tree_q,
         "star_free_index": rec.star_free_index,
-        "path_cover": rec.path_cover,
+        "path_cover": path_cover_number(g)[0] if g.is_tree() else None,
     }
 
 

@@ -7,9 +7,9 @@ deterministic: the same spec always yields the same labeled graph.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .graph import Frozen, Graph, GraphError
+from .graph import Graph, GraphError
 
 
 def path(n: int) -> Graph:
@@ -116,15 +116,10 @@ def circulant(n: int, steps: tuple[int, ...]) -> Graph:
         raise GraphError(f"circulant needs n >= 3, got {n}")
     if not steps or any(not 1 <= s <= n // 2 for s in steps):
         raise GraphError(f"steps must lie in 1..n//2, got {steps}")
-    edges = set()
-    for s in set(steps):
-        for i in range(n):
-            u, v = i, (i + s) % n
-            edges.add((min(u, v), max(u, v)))
-    return Graph.from_edges(n, sorted(edges))
+    return Graph.from_edges(n, [(i, (i + s) % n) for s in steps for i in range(n)])
 
 
-class FamilySpec(Frozen):
+class FamilySpec(NamedTuple("FamilySpec", [("family", str), ("args", tuple)])):
     """A family tag plus its positional integer parameters.
 
     ``cycle_tree`` takes one tuple argument (the cycle lengths);
@@ -132,15 +127,12 @@ class FamilySpec(Frozen):
     takes plain integers.
     """
 
-    __slots__ = ("family", "args")
-    family: str
-    args: tuple
+    __slots__ = ()
 
-    def __init__(self, family: str, args: tuple = ()) -> None:
+    def __new__(cls, family: str, args: tuple = ()) -> FamilySpec:
         if family not in FAMILIES:
             raise GraphError(f"unknown family {family!r}")
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "args", args)
+        return super().__new__(cls, family, args)
 
 
 FAMILIES: dict[str, Callable[..., Graph]] = {

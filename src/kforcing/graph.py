@@ -80,16 +80,18 @@ def _gosper(n: int, c: int) -> Iterator[int]:
         mask = ripple | (((mask ^ ripple) >> 2) // low)
 
 
-class Frozen:
-    """Base of the immutable value objects: the fields named in
-    ``__slots__``, set once through ``object.__setattr__`` on creation,
-    give equality (with an instance of the same class), hash, repr and
-    pickling; assignment raises."""
+class Graph:
+    """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
 
-    __slots__ = ()
+    Instances are immutable value objects and safe to share between
+    concurrent workers: equal (to a graph of the same class), hashed,
+    printed and pickled by (n, adj), and set only on creation, through
+    ``object.__setattr__``. Edge deletion returns a new graph.
+    """
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+    __slots__ = ("n", "adj")
+    n: int
+    adj: tuple[int, ...]
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -100,29 +102,16 @@ class Frozen:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return self.n == other.n and self.adj == other.adj
 
     def __hash__(self) -> int:
-        return hash(self._values())
+        return hash((self.n, self.adj))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
+        return f"{type(self).__name__}(n={self.n!r}, adj={self.adj!r})"
 
     def __reduce__(self):
-        return type(self), self._values()
-
-
-class Graph(Frozen):
-    """Simple undirected graph; ``adj[v]`` is the neighbor bitmask of ``v``.
-
-    Instances are immutable value objects and safe to share between
-    concurrent workers. Edge deletion returns a new graph.
-    """
-
-    __slots__ = ("n", "adj")
-    n: int
-    adj: tuple[int, ...]
+        return type(self), (self.n, self.adj)
 
     def __init__(self, n: int, adj: tuple[int, ...]) -> None:
         if n < 0:

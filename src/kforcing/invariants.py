@@ -1,9 +1,9 @@
 """Exact companion invariants: domination, independence, path cover,
 connectivity, Hamiltonicity, and family checks.
 
-Each solver computes a quantity that a bound in ``bounds.BOUNDS`` reads.
-Everything here is exact search at desk scale; past the size cap a
-record raises :class:`ExactScopeError` instead of approximating.
+Each solver but the tree path cover (F_1's value on trees, kept for
+``compute`` and as the tests' oracle) computes a quantity that a bound
+in ``bounds.BOUNDS`` reads. Everything here is exact search at desk scale.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from .graph import Graph, GraphError, components, iter_bits, subsets_of_size
 
 
 class ExactScopeError(GraphError):
-    """Raised when an input exceeds the exact-computation scale of a solver."""
+    """Raised by ``compute_record`` and ``compute`` past the exact-scope cap."""
 
 
 def connected_k_domination(g: Graph, k: int) -> tuple[int, int] | None:
@@ -92,53 +92,32 @@ def path_cover_number(t: Graph) -> tuple[int, tuple[int, ...]]:
     Returns (count, partition as a tuple of vertex masks). A partition
     into p paths uses exactly n - p tree edges with every vertex meeting
     at most 2 of them, so minimizing p is maximizing such an edge
-    subset; that is a two-state DP pruned up from the leaves.
+    subset. From the leaves up, each vertex joins the paths of its two
+    highest-index open children, or of fewer if it has fewer, and stays
+    open, free to join its parent, unless it joined two: the edge to an
+    open child is never worth less than the edge to the parent.
     """
     if not t.is_tree():
         raise GraphError("path cover is defined here for trees only")
-    n = t.n
-    if n == 1:
-        return 1, (1,)
-
-    parent = [-1] * n
-    order = [0]
-    seen = 1
-    for v in order:
+    order, seen = [0], 1
+    for v in order:  # breadth first, so each vertex's children come after it
         for u in iter_bits(t.adj[v] & ~seen):
             seen |= 1 << u
-            parent[u] = v
             order.append(u)
 
-    # dp_free[v]: best edge count in v's subtree, parent edge unused
-    # (v may keep up to 2 child edges); dp_used[v]: parent edge used
-    # (at most 1 child edge). pick_* remember the chosen child edges.
-    dp_free = [0] * n
-    dp_used = [0] * n
-    pick_free: list[tuple[int, ...]] = [()] * n
-    pick_used: list[tuple[int, ...]] = [()] * n
+    joined = [0] * t.n  # the chosen edges, as adjacency masks
+    open_ = 0  # the vertices that joined fewer than two children
     for v in reversed(order):
-        kids = [u for u in iter_bits(t.adj[v]) if parent[u] == v]
-        base = sum(dp_free[u] for u in kids)
-        gains = sorted(
-            ((dp_used[u] + 1 - dp_free[u], u) for u in kids), reverse=True
-        )
-        for cap, dp, pick in ((2, dp_free, pick_free), (1, dp_used, pick_used)):
-            take = [u for gain, u in gains[:cap] if gain > 0]
-            dp[v] = base + sum(dp_used[u] + 1 - dp_free[u] for u in take)
-            pick[v] = tuple(take)
+        kids = t.adj[v] & open_  # its parent comes later, so is not yet open
+        while kids.bit_count() > 2:
+            kids &= kids - 1  # drop the lowest index
+        joined[v] = kids
+        for u in iter_bits(kids):
+            joined[u] |= 1 << v
+        if kids.bit_count() < 2:
+            open_ |= 1 << v
 
-    chosen_adj = [0] * n
-    stack = [(0, False)]
-    while stack:
-        v, used = stack.pop()
-        picked = pick_used[v] if used else pick_free[v]
-        stack += [(u, u in picked) for u in iter_bits(t.adj[v]) if parent[u] == v]
-        for u in picked:
-            chosen_adj[v] |= 1 << u
-            chosen_adj[u] |= 1 << v
-
-    parts = components(Graph(n, tuple(chosen_adj)))
-    assert len(parts) == n - dp_free[0]
+    parts = components(Graph(t.n, tuple(joined)))
     return len(parts), tuple(parts)
 
 

@@ -4,9 +4,9 @@
 maximum and minimum degree, from one pass over the adjacency. Everything
 else (leaf and degree-3 counts, connectedness, and every solver-backed
 value: forcing numbers, domination, independence, connectivity,
-Hamiltonicity, cycle-tree shape, star-freeness, path cover) runs only
-when a bound gate, a bound formula or a caller reads it, and is kept for
-later reads.
+Hamiltonicity, cycle-tree shape, star-freeness) runs only when a bound
+gate, a bound formula or a caller reads it, and is kept for later reads.
+The record holds only values that a gate or a check reads.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .invariants import (
     is_cycle_tree,
     k_independence_numbers,
     min_star_free_index,
-    path_cover_number,
     vertex_connectivity,
 )
 
@@ -137,10 +136,6 @@ class InvariantRecord:
     @_cached_property
     def star_free_index(self) -> int:
         return min_star_free_index(self.graph)
-
-    @_cached_property
-    def path_cover(self) -> int | None:
-        return path_cover_number(self.graph)[0] if self.graph.is_tree() else None
 
 
 def compute_record(g: Graph, max_n: int = DEFAULT_MAX_N) -> InvariantRecord:

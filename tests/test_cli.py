@@ -133,6 +133,20 @@ def test_bad_number_names_its_family_or_flag(argv, message):
     assert proc.stderr == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, spec", [
+    (["gen", "cycle:5..3", "-o"], "cycle:5..3"),
+    (["gen", "cycle:3..4", "cycle_tree:3,5..4", "-o"], "cycle_tree:3,5..4"),
+    (["search", "--target", "cor3", "--spec", "cycle:9..4", "--out-jsonl"], "cycle:9..4"),
+    (["verify", "--spec", "cycle:5..3", "--out-jsonl"], "cycle:5..3"),
+])
+def test_a_sweep_of_no_spec_exits_2_before_its_output_opens(argv, spec, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main([*argv, str(out)]) == 2
+    family = spec.partition(":")[0]
+    assert capsys.readouterr() == ("", f"error: {family}: {spec!r} expands to no spec\n")
+    assert not out.exists()
+
+
 def test_verify_reads_graph6_from_stdin(tmp_path):
     corpus = DATA / "connected_5.g6"
 
@@ -324,6 +338,7 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     ("Dhc\n", ["--max-n", "1000000000000", "--k", "1..1000000000000"]),
     # rejected before a graph is built, whose size would be quadratic in n
     ("0 1000000\n", ["--format", "edges"]),
+    ("Dhc\n", ["--spec", "cycle:5..3"]),  # a reversed range would verify nothing
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"

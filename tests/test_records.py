@@ -1,3 +1,7 @@
+import io
+import json
+from contextlib import redirect_stdout
+
 import pytest
 
 from kforcing import records
@@ -11,12 +15,23 @@ from kforcing import (
     vertex_k_connected,
 )
 from kforcing.bounds import K_CONNECTED, TREE
+from kforcing.cli import main
 from kforcing.families import complete, cycle, cycle_tree, path, star
+from kforcing.graphio import write_graph6
 
 from builders import disjoint_union
 
 _, k_connected = K_CONNECTED  # the hypotheses' tests
 _, tree = TREE
+
+
+def record_json(g) -> dict:
+    """``compute --invariant record --json`` on ``g``."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(["compute", "--graph6", write_graph6(g), "--invariant", "record",
+                     "--json"]) == 0
+    return json.loads(out.getvalue())
 
 
 def test_record_matches_direct_computations():
@@ -37,13 +52,13 @@ def test_record_matches_direct_computations():
     assert rec.hamiltonian and rec.chord_count == 0
     assert rec.cycle_tree_q == 1
     assert rec.star_free_index == 3
-    assert rec.path_cover is None
+    assert record_json(g)["path_cover"] is None
 
 
 def test_record_on_tree():
     t = star(4)
     rec = compute_record(t)
-    assert tree(rec, 1) and rec.path_cover == 3
+    assert tree(rec, 1) and record_json(t)["path_cover"] == 3
     assert rec.leaf_count == 4
     assert not rec.hamiltonian and rec.chord_count is None
     assert rec.cycle_tree_q is None
