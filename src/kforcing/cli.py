@@ -9,13 +9,12 @@ or out of memory.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from contextlib import ExitStack
 from importlib import import_module
 from itertools import product
 from math import prod
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, Sequence
 
 from .bounds import BoundId
 from .graph import GraphError
@@ -37,8 +36,6 @@ EXIT_VIOLATION = 1
 EXIT_PARSE = 2
 EXIT_SCOPE = 3
 
-JOBS_ENV = "KFORCING_JOBS"
-
 # the --invariant choices; kforcing.compute answers each with its function
 # _<name>, '-' written as '_'
 _INVARIANT_NAMES = ("forcing", "gamma-c", "gamma-kc", "alpha", "path-cover",
@@ -51,74 +48,12 @@ _SEARCH_TARGETS = {
 }
 
 
-class CampaignConfig(NamedTuple):
-    """Resolved settings for one verify or search run.
-
-    The field names are both the config-file keys (with '-' for '_') and
-    the flag destinations, so each setting is declared only here.
-    """
-
-    input: str | None = None
-    format: str = "g6"
-    spec: tuple[str, ...] = ()
-    k: str = "auto"
-    bounds: str = "all"
-    max_n: int = DEFAULT_MAX_N
-    jobs: int = 1
-    out_jsonl: str | None = None
-    out_csv: str | None = None
-    sample: int | None = None
-    seed: int = 0
-
-
-def _parse_config_file(path: str) -> dict:
-    """Read ``key = value`` lines into CampaignConfig field values."""
-    # the annotation text, which NamedTuple keeps as a ForwardRef
-    types = {name: ref.__forward_arg__
-             for name, ref in CampaignConfig.__annotations__.items()}
-    values: dict = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            name, _, val = (part.strip() for part in line.partition("="))
-            key = name.replace("-", "_")
-            if key not in types:
-                raise ValueError(f"{path}:{lineno}: unknown key {name!r}")
-            if types[key].startswith("tuple"):
-                values[key] = tuple(val.split())
-            elif not types[key].startswith("int"):
-                values[key] = val
-            else:
-                try:
-                    values[key] = int(val)
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: {name} must be an integer, got {val!r}"
-                    ) from None
-    return values
-
-
-def _campaign(args: argparse.Namespace) -> CampaignConfig:
-    """Defaults, then $KFORCING_JOBS (read by verify alone, the one command
-    with workers), then the config file, then the flags."""
-    jobs = os.environ.get(JOBS_ENV) if args.command == "verify" else None
-    try:
-        cfg = CampaignConfig(jobs=int(jobs or 1))
-    except ValueError:
-        raise ValueError(f"{JOBS_ENV} must be an integer, got {jobs!r}") from None
-    if getattr(args, "config", None):
-        cfg = cfg._replace(**_parse_config_file(args.config))
-    flags = {name: getattr(args, name, None) for name in CampaignConfig._fields}
-    cfg = cfg._replace(**{key: tuple(value) if isinstance(value, list) else value
-                          for key, value in flags.items() if value is not None})
-    if not (cfg.input or cfg.spec):
+def _campaign(args: argparse.Namespace) -> argparse.Namespace:
+    """The flags of a verify or search run, once they name graphs in scope."""
+    if not (args.input or args.spec):
         raise ValueError(f"{args.command} needs --input or --spec")
-    _check_max_n(cfg.max_n)
-    return cfg
+    _check_max_n(args.max_n)
+    return args
 
 
 def _check_max_n(max_n: int) -> None:
@@ -126,37 +61,39 @@ def _check_max_n(max_n: int) -> None:
         raise ValueError(f"--max-n {max_n} exceeds graph6's largest order {MAX_ORDER}")
 
 
-def _load_graphs(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
-    """Return (graph6, n, origin) triples from the configured source.
+def _load_graphs(input: str | None, format: str = "g6", specs: Sequence[str] = (),
+                 max_n: int = DEFAULT_MAX_N) -> list[tuple[str | None, int, str]]:
+    """Return (graph6, n, origin) triples from file ``input`` and the
+    family sweeps ``specs``.
 
     Every graph6 line is syntax-checked before this returns, but none is
     parsed; callers parse the graphs they use. Encoding is quadratic in
-    n, so an edge-list or spec graph over ``cfg.max_n`` is not encoded:
-    its graph6 is None, and ``origin`` names the file or spec it came
-    from.
+    n, so an edge-list or spec graph over ``max_n`` is not encoded: its
+    graph6 is None, and ``origin`` names the file or spec it came from.
     """
     graphs, built = [], []
-    if cfg.input:
-        origin = f"input={cfg.input}"
-        if cfg.format == "g6":
+    if input:
+        origin = f"input={input}"
+        if format == "g6":
             graphs = [(g6, n, origin)
-                      for g6, n in graph6_lines(_read_input(cfg.input, "ascii"))]
-        elif cfg.format == "edges":
-            built.append((parse_edge_list(_read_input(cfg.input, "utf-8")), origin))
+                      for g6, n in graph6_lines(_read_input(input, "ascii"))]
+        elif format == "edges":
+            built.append((parse_edge_list(_read_input(input, "utf-8")), origin))
         else:
-            raise ValueError(f"unknown format {cfg.format!r}")
-    if cfg.spec:
+            raise ValueError(f"unknown format {format!r}")
+    if specs:
         from .families import generate
 
         built += [(generate(fs), f"spec={spec}")
-                  for spec in cfg.spec for fs in expand_family_spec(spec)]
-    return graphs + [(write_graph6(g) if g.n <= cfg.max_n else None, g.n, origin)
+                  for spec in specs for fs in expand_family_spec(spec)]
+    return graphs + [(write_graph6(g) if g.n <= max_n else None, g.n, origin)
                      for g, origin in built]
 
 
-def _load_corpus(cfg: CampaignConfig) -> list[tuple[str | None, int, str]]:
-    """The graphs of :func:`_load_graphs`, once each is checked to have a vertex."""
-    graphs = _load_graphs(cfg)
+def _load_corpus(args: argparse.Namespace) -> list[tuple[str | None, int, str]]:
+    """The graphs of :func:`_load_graphs` that a run's flags name, once each
+    is checked to have a vertex."""
+    graphs = _load_graphs(args.input, args.format, args.spec or (), args.max_n)
     for index, graph in enumerate(graphs):
         if graph[1] == 0:
             raise GraphError(f"graph {index} has no vertices: {_graph_name(*graph)}")
@@ -250,10 +187,12 @@ def _parse_ks(text: str, max_degree: int, max_n: int = DEFAULT_MAX_N) -> list[in
     """
     if text == "auto":
         return list(range(1, max(max_degree, 1) + 1))
-    ends = [_item_ends(part.strip(), "--k") for part in text.split(",")]
-    ends = [(lo, hi) for lo, hi in ends if lo <= hi]
-    if not ends:
-        raise ValueError(f"no forcing index in {text!r}")
+    ends = []
+    for part in map(str.strip, text.split(",")):
+        lo, hi = _item_ends(part, "--k")
+        if lo > hi:  # it would check nothing, silently
+            raise ValueError(f"--k: reversed range {part!r} names no forcing index")
+        ends.append((lo, hi))
     if min(lo for lo, _ in ends) < 1:
         raise ValueError(f"forcing indices must be positive: {text!r}")
     top = max(hi for _, hi in ends)
@@ -289,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_io(p: argparse.ArgumentParser) -> None:
         p.add_argument("--input", "-i", help="graph6 or edge-list file")
-        p.add_argument("--format", choices=("g6", "edges"))
-        p.add_argument("--max-n", type=int,
+        p.add_argument("--format", choices=("g6", "edges"), default="g6")
+        p.add_argument("--max-n", type=int, default=DEFAULT_MAX_N,
                        help=f"exact-scope cap (default {DEFAULT_MAX_N})")
 
     def add_corpus(p: argparse.ArgumentParser) -> None:
@@ -307,19 +246,16 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--ks", default="auto", help="k list for 'record' (e.g. 1..3)")
     pc.add_argument("--all-min", action="store_true")
     pc.add_argument("--json", action="store_true")
-    pc.set_defaults(format="g6", max_n=DEFAULT_MAX_N)
 
     pv = sub.add_parser("verify", help="bound campaign over a corpus")
-    pv.add_argument("--config", help="key = value file mirroring the flags")
     add_corpus(pv)
-    pv.add_argument("--k", help="'auto' (1..max degree) or list/range")
-    pv.add_argument("--bounds", help="'all' or comma list of bound ids")
-    pv.add_argument("--jobs", type=int,
-                    help=f"worker processes (default ${JOBS_ENV} or 1)")
+    pv.add_argument("--k", default="auto", help="'auto' (1..max degree) or list/range")
+    pv.add_argument("--bounds", default="all", help="'all' or comma list of bound ids")
+    pv.add_argument("--jobs", type=int, default=1, help="worker processes (default 1)")
     pv.add_argument("--out-csv")
     pv.add_argument("--sample", type=int,
                     help="verify a seeded random sample of this many graphs")
-    pv.add_argument("--seed", type=int)
+    pv.add_argument("--seed", type=int, default=0)
 
     ps = sub.add_parser("search", help="equality-case search over a corpus")
     ps.add_argument("--target", required=True, choices=tuple(_SEARCH_TARGETS))

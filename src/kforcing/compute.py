@@ -111,8 +111,7 @@ def cmd_compute(args: argparse.Namespace) -> int:
     if args.graph6:
         g6, n = graph6_order(args.graph6)
     elif args.input:
-        graphs = cli._load_graphs(cli.CampaignConfig(input=args.input, format=args.format,
-                                                     max_n=args.max_n))
+        graphs = cli._load_graphs(args.input, args.format, max_n=args.max_n)
         if not 0 <= args.index < len(graphs):
             raise GraphError(f"graph index {args.index} out of range")
         g6, n, _ = graphs[args.index]

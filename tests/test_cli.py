@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from kforcing.cli import MAX_SWEEP, CampaignConfig, expand_family_spec, main
+from kforcing.cli import MAX_SWEEP, expand_family_spec, main
 from kforcing.families import FamilySpec
 from kforcing.graphio import MAX_ORDER, parse_graph6, write_graph6
 from kforcing.families import complete, complete_bipartite, cycle, star
@@ -326,7 +326,7 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     ("Dhc\n", ["--k", "x"]),
     ("Dhc\n", ["--k", "2..1"]),  # an empty range would verify nothing
     ("Dhc\n", ["--bounds", "FOO"]),
-    ("Dhc\n", ["--config", "/nonexistent/campaign.cfg"]),
+    ("Dhc\n", ["--k", "2..1,3"]),  # nor would a reversed range in a list
     ("Dhc\n", ["--sample", "-1"]),
     ("Dhc\n", ["--jobs", "0"]),
     ("Dhc\n", ["--jobs", "-3"]),
@@ -362,14 +362,19 @@ def test_k_over_max_n_exits_2(capsys):
     assert main(["verify", "-i", c4, "--k", "13", "--max-n", "13"]) == 0
 
 
-def test_max_n_ceiling_is_graph6s_largest_order(tmp_path, capsys):
+def test_compute_reversed_range_in_a_ks_list_exits_2(capsys):
+    # dropping the part would print the other indices alone and exit 0
+    assert main(["compute", "--graph6", "Dhc", "--invariant", "record",
+                 "--ks", "2..1,3"]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --k: reversed range '2..1' names no forcing index\n")
+
+
+def test_max_n_ceiling_is_graph6s_largest_order(capsys):
     c4 = str(DATA / "connected_4.g6")
     assert main(["verify", "-i", c4, "--max-n", str(MAX_ORDER)]) == 0
     capsys.readouterr()
-    config = tmp_path / "campaign.cfg"
-    config.write_text(f"input = {c4}\nmax-n = {MAX_ORDER + 1}\n")
     for argv in (["verify", "-i", c4, "--max-n", str(MAX_ORDER + 1)],
-                 ["verify", "--config", str(config)],
                  ["search", "--target", "cor3", "-i", c4, "--max-n", str(MAX_ORDER + 1)],
                  ["compute", "--graph6", "Dhc", "--invariant", "profile",
                   "--max-n", str(MAX_ORDER + 1)]):
@@ -388,7 +393,7 @@ def test_max_n_ceiling_is_graph6s_largest_order(tmp_path, capsys):
 def test_out_of_memory_is_one_error_line_and_exit_3(argv, monkeypatch, capsys):
     from kforcing import cli
 
-    def exhausted(cfg):
+    def exhausted(*args, **kwargs):
         raise MemoryError
 
     monkeypatch.setattr(cli, "_load_graphs", exhausted)
@@ -410,24 +415,6 @@ def test_verify_unwritable_output_fails_before_any_graph(flag, tmp_path, monkeyp
     assert out == "" and err.startswith("error: ")
 
 
-@pytest.mark.parametrize("config, message", [
-    (f"input = {DATA / 'connected_4.g6'}\njobz = 2\n", ":2: unknown key 'jobz'"),
-    (f"input = {DATA / 'connected_4.g6'}\nout-jsonz = x\n", ":2: unknown key 'out-jsonz'"),
-    ("k = 1\njobs = 1\n", "verify needs --input or --spec"),  # names no graphs
-    (f"input = {DATA / 'connected_4.g6'}\njobs = x\n",
-     "campaign.cfg:2: jobs must be an integer, got 'x'"),
-    (f"input = {DATA / 'connected_4.g6'}\nsample = 1.5\n",
-     "campaign.cfg:2: sample must be an integer, got '1.5'"),
-])
-def test_verify_config_that_does_nothing_exits_2(config, message, tmp_path):
-    cfg = tmp_path / "campaign.cfg"
-    cfg.write_text(config)
-    proc = run_cli("verify", "--config", str(cfg))
-    assert proc.returncode == 2
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("error: ") and message in proc.stderr
-
-
 @pytest.mark.parametrize("argv", [
     ["verify"],
     ["verify", "--k", "1", "--jobs", "1"],
@@ -441,26 +428,8 @@ def test_no_graph_source_exits_2(argv):
     assert proc.stderr == f"error: {argv[0]} needs --input or --spec\n"
 
 
-@pytest.mark.parametrize("source", ["env", "config"])
-@pytest.mark.parametrize("jobs", ["0", "-3", "x"])
-def test_verify_bad_worker_count_exits_2(source, jobs, tmp_path, monkeypatch):
-    src = tmp_path / "in.g6"
-    src.write_text("Dhc\n")
-    args = []
-    if source == "env":
-        monkeypatch.setenv("KFORCING_JOBS", jobs)
-    else:
-        cfg = tmp_path / "campaign.cfg"
-        cfg.write_text(f"jobs = {jobs}\n")
-        args = ["--config", str(cfg)]
-    proc = run_cli("verify", "--input", str(src), *args)
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.startswith("error: ")
-
-
 def test_search_ignores_the_jobs_env(monkeypatch):
-    # search has no workers, so a bad $KFORCING_JOBS is not its error
+    # no command reads the environment: its flags are its only settings
     argv = ["search", "--target", "cor3", "-i", str(DATA / "connected_4.g6")]
     usual = run_cli(*argv)
     assert usual.returncode == 0 and usual.stdout.startswith("search target=cor3 ")
@@ -469,12 +438,22 @@ def test_search_ignores_the_jobs_env(monkeypatch):
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, usual.stdout, "")
 
 
-def test_verify_non_integer_jobs_env_is_one_error_line(monkeypatch):
+def test_verify_ignores_the_jobs_env(tmp_path, monkeypatch):
+    # the worker count comes from --jobs alone
+    argv = ["verify", "-i", str(DATA / "connected_4.g6"), "--out-jsonl"]
+    usual = run_cli(*argv, str(tmp_path / "usual.jsonl"))
+    assert usual.returncode == 0 and usual.stdout.startswith("verify: checked=")
     monkeypatch.setenv("KFORCING_JOBS", "x")
-    proc = run_cli("verify", "-i", str(DATA / "connected_4.g6"))
+    proc = run_cli(*argv, str(tmp_path / "env.jsonl"))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, usual.stdout, "")
+    assert (tmp_path / "env.jsonl").read_bytes() == (tmp_path / "usual.jsonl").read_bytes()
+
+
+def test_verify_config_flag_is_unrecognized():
+    proc = run_cli("verify", "-i", str(DATA / "connected_4.g6"), "--config", "f")
     assert proc.returncode == 2
     assert proc.stdout == ""
-    assert proc.stderr == "error: KFORCING_JOBS must be an integer, got 'x'\n"
+    assert proc.stderr.endswith(" error: unrecognized arguments: --config f\n")
 
 
 def test_verify_family_spec_input(tmp_path):
@@ -542,37 +521,6 @@ def test_verify_tree_corpus_leaf_bounds(tmp_path):
     applicable = [l for l in lines if l["applicable"]]
     assert len(applicable) == 2 * 106  # both sides on every 10-vertex tree
     assert all(l["satisfied"] for l in applicable)
-
-
-def test_verify_config_file_and_flag_override(tmp_path):
-    cfg = tmp_path / "campaign.cfg"
-    out1 = tmp_path / "one.jsonl"
-    cfg.write_text(
-        f"input = {DATA / 'connected_4.g6'}\n"
-        "k = 1\n"
-        "bounds = CONN_DOM,RATIO\n"
-        f"out-jsonl = {out1}\n"
-        "# comment line\n"
-        "jobs = 1\n"
-    )
-    proc = run_cli("verify", "--config", str(cfg))
-    assert proc.returncode == 0
-    lines = [json.loads(s) for s in out1.read_text().splitlines()]
-    assert {l["bound"] for l in lines} == {"CONN_DOM", "RATIO"}
-
-    out2 = tmp_path / "two.jsonl"
-    proc = run_cli("verify", "--config", str(cfg), "--bounds", "MAIN",
-                   "--out-jsonl", str(out2))
-    assert proc.returncode == 0
-    lines = [json.loads(s) for s in out2.read_text().splitlines()]
-    assert {l["bound"] for l in lines} == {"MAIN"}
-
-
-def test_readme_config_keys_mirror_campaign_fields():
-    readme = (DATA.parent / "README.md").read_text(encoding="utf-8")
-    listing = readme.split("accepts `--config FILE`", 1)[1].split("(", 1)[1].split(")")[0]
-    keys = [part.strip().strip("`") for part in listing.split(",")]
-    assert keys == [name.replace("_", "-") for name in CampaignConfig._fields]
 
 
 def test_verify_sample_is_seed_deterministic(tmp_path):
@@ -779,7 +727,7 @@ def test_verify_exits_1_on_violation(tmp_path, monkeypatch, capsys):
                 f"bound={line['bound']} side={line['side']} ") in printed
 
 
-def test_jobs_env_var_default(tmp_path, monkeypatch):
+def test_jobs_flag_reaches_the_runner(tmp_path, monkeypatch):
     # the child gets a minimal environment, so hand it this checkout's src/
     # explicitly; an inherited PYTHONPATH (or an installed package) still works
     pythonpath = os.pathsep.join(
@@ -788,16 +736,15 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
     out = tmp_path / "v.jsonl"
     proc = subprocess.run(
         [sys.executable, "-m", "kforcing.cli", "verify",
-         "--input", str(DATA / "connected_4.g6"), "--out-jsonl", str(out)],
+         "--input", str(DATA / "connected_4.g6"), "--jobs", "2", "--out-jsonl", str(out)],
         capture_output=True, text=True,
-        env={"PATH": "/usr/bin:/bin:/usr/local/bin", "KFORCING_JOBS": "2",
-             "PYTHONPATH": pythonpath},
+        env={"PATH": "/usr/bin:/bin:/usr/local/bin", "PYTHONPATH": pythonpath},
     )
     assert proc.returncode == 0
     assert out.exists()
 
-    # in process: the one runner really gets the worker count from the
-    # environment, and an explicit --jobs overrides it
+    # in process: the one runner really gets the worker count of --jobs,
+    # and 1 without it
     import kforcing.verify
 
     runs = []
@@ -808,15 +755,10 @@ def test_jobs_env_var_default(tmp_path, monkeypatch):
         return forked(verify_one, work, jobs)
 
     monkeypatch.setattr(kforcing.verify, "_verify_forked", recording)
-    monkeypatch.setenv("KFORCING_JOBS", "2")
-    assert main(["verify", "--input", str(DATA / "connected_4.g6"),
-                 "--out-jsonl", str(tmp_path / "env.jsonl")]) == 0
-    assert runs == [2]
-
-    runs.clear()
-    assert main(["verify", "--input", str(DATA / "connected_4.g6"),
-                 "--jobs", "1", "--out-jsonl", str(tmp_path / "one.jsonl")]) == 0
-    assert runs == [1]
+    for jobs in (["--jobs", "2"], ["--jobs", "1"], []):
+        assert main(["verify", "--input", str(DATA / "connected_4.g6"), *jobs,
+                     "--out-jsonl", str(tmp_path / "v.jsonl")]) == 0
+    assert runs == [2, 1, 1]
 
 
 def test_import_loads_no_process_pool():

@@ -11,7 +11,7 @@ return the same pairs, or raise the same error with the same message.
 import pytest
 
 import kforcing.graphio as graphio
-from kforcing.cli import CampaignConfig, _load_graphs, main
+from kforcing.cli import _load_graphs, main
 from kforcing.families import path
 from kforcing.graphio import graph6_order, write_graph6
 
@@ -30,7 +30,7 @@ def oracle(path_):
 def loaded(path_):
     """The (graph6, n) pairs ``_load_graphs`` returns, or the error it raised."""
     try:
-        triples = _load_graphs(CampaignConfig(input=str(path_)))
+        triples = _load_graphs(str(path_))
     except ValueError as exc:
         return type(exc), str(exc)
     assert all(origin == f"input={path_}" for _, _, origin in triples)
@@ -140,7 +140,7 @@ def test_a_clean_corpus_checks_one_line_per_class(monkeypatch):
         return graph6_order(text)
 
     monkeypatch.setattr(graphio, "graph6_order", counted)
-    graphs = _load_graphs(CampaignConfig(input=str(DATA / "connected_8.g6")))
+    graphs = _load_graphs(str(DATA / "connected_8.g6"))
     assert len(graphs) == len(lines) == 11117
     assert 1 <= len(calls) <= len(classes)
 

@@ -4,6 +4,7 @@ Each check runs in a fresh ``python -S``, so no site ``.pth`` file can
 load a module first and mask what the package itself imports.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -72,6 +73,20 @@ def test_cli_loads_what_the_tracer_reads_and_no_command_module():
 ], ids=["import", "verify"])
 def test_cli_loads_no_dataclasses_or_inspect(code):
     assert not {"dataclasses", "inspect"} & loaded_after(code)
+
+
+def test_no_module_reads_the_environment():
+    # a command's flags are its only settings
+    names = {"environ", "getenv", "putenv"}
+    found = []
+    for path in sorted(Path(SRC, "kforcing").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [(path.name, node.lineno) for a in node.names if a.name in names]
+            elif (isinstance(node, ast.Attribute) and node.attr in names
+                  and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append((path.name, node.lineno))
+    assert found == []
 
 
 def test_verify_with_workers_loads_no_process_pool():

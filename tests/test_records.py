@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 from contextlib import redirect_stdout
@@ -14,7 +15,8 @@ from kforcing import (
     k_independence_number,
     vertex_k_connected,
 )
-from kforcing.bounds import K_CONNECTED, TREE
+from kforcing import compute
+from kforcing.bounds import K_CONNECTED, TREE, bound_outcomes
 from kforcing.cli import main
 from kforcing.families import complete, cycle, cycle_tree, path, star
 from kforcing.graphio import write_graph6
@@ -142,3 +144,34 @@ def test_record_fields_match_their_definitions(connected_upto_6):
         assert (rec.leaf_count, rec.degree3_count) == (leaves, hist.get(3, 0))
         assert rec.connected == (len(components(g)) == 1) == g.is_connected()
         assert tree(rec, 1) == g.is_tree()
+
+
+class _Lookups:
+    """A record's ``forcing`` as the bounds read it, each index kept."""
+
+    def __init__(self, forcing):
+        self.forcing, self.read = forcing, set()
+
+    def __getitem__(self, k):
+        self.read.add(k)
+        return self.forcing[k]
+
+
+def test_record_prints_every_forcing_index_the_checks_read(all_upto_7):
+    # compute._record states the indices {k, k(r-1), 2k} apart from the
+    # checks; the wrapper sees the checks' lookups, not the record's own
+    # read of F at the maximum degree inside one
+    pairs, misses = 0, []
+    for g in all_upto_7:
+        rec = compute_record(g)
+        lookups = _Lookups(rec.forcing)
+        rec.__dict__["forcing"] = lookups
+        for k in range(1, max(rec.max_degree, 1) + 1):
+            lookups.read.clear()
+            bound_outcomes(rec, [k])
+            args = argparse.Namespace(max_n=records.DEFAULT_MAX_N, ks=str(k))
+            printed = compute._record(g, args)["forcing"]
+            pairs += 1
+            misses += [(write_graph6(g), k, i) for i in lookups.read
+                       if str(i) not in printed]
+    assert pairs == 5387 and misses == []

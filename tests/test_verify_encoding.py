@@ -101,7 +101,7 @@ def test_block_matches_oracle_on_family_sweep(monkeypatch):
     detailed = set()
     specs = ["cycle_tree:3..4,3..4", "circulant:8:1,2..3", "complete:2..6",
              "cycle:3..8", "subdivided_star:3:2"]
-    for index, (g6, n, _) in enumerate(cli._load_graphs(cli.CampaignConfig(spec=specs))):
+    for index, (g6, n, _) in enumerate(cli._load_graphs(None, specs=specs)):
         reports = assert_worker_matches_oracle(monkeypatch, index, g6)
         detailed |= {rep.bound for rep in reports if rep.detail}
     assert {BoundId.K1R, BoundId.CLAWFREE, BoundId.CYCLE_TREE} <= detailed
