@@ -221,12 +221,14 @@ def evaluate_bounds(
     its :func:`bound_outcomes` outcome with the rationals as ``Fraction``s.
 
     Reports come out sorted by k, then bound id (declaration order),
-    then side; TREE_LEAF contributes a lower and an upper report.
+    then side, each k and bound once; TREE_LEAF contributes a lower and
+    an upper report.
     """
     if any(k < 1 for k in ks):
         raise ValueError(f"forcing indices must be positive: {tuple(ks)}")
     if rec is None:
         rec = compute_record(g)
+    ids = [bound for bound in BoundId if bound in ids]
     reports = []
     for k, bound, side, *checked in bound_outcomes(rec, sorted(set(ks)), ids):
         if not checked:

@@ -57,6 +57,8 @@ def _campaign(args: argparse.Namespace) -> argparse.Namespace:
 
 
 def _check_max_n(max_n: int) -> None:
+    if max_n < 1:  # no graph would be in scope
+        raise ValueError(f"--max-n must be positive, got {max_n}")
     if max_n > MAX_ORDER:  # so no k checked against it can fill memory
         raise ValueError(f"--max-n {max_n} exceeds graph6's largest order {MAX_ORDER}")
 
@@ -178,8 +180,9 @@ def expand_family_spec(text: str) -> list[FamilySpec]:
     return [FamilySpec(family, args) for args in product(*choices)]
 
 
-def _parse_ks(text: str, max_degree: int, max_n: int = DEFAULT_MAX_N) -> list[int]:
-    """The forcing indices of ``--k``; ``auto`` is 1..max(max_degree, 1).
+def _parse_ks(text: str, max_degree: int, max_n: int = DEFAULT_MAX_N,
+              flag: str = "--k") -> list[int]:
+    """The forcing indices of ``flag``; ``auto`` is 1..max(max_degree, 1).
 
     Every k must lie in 1..max_n, since no graph in scope has a vertex
     of degree max_n; the ends of each range are checked before it is
@@ -189,9 +192,9 @@ def _parse_ks(text: str, max_degree: int, max_n: int = DEFAULT_MAX_N) -> list[in
         return list(range(1, max(max_degree, 1) + 1))
     ends = []
     for part in map(str.strip, text.split(",")):
-        lo, hi = _item_ends(part, "--k")
+        lo, hi = _item_ends(part, flag)
         if lo > hi:  # it would check nothing, silently
-            raise ValueError(f"--k: reversed range {part!r} names no forcing index")
+            raise ValueError(f"{flag}: reversed range {part!r} names no forcing index")
         ends.append((lo, hi))
     if min(lo for lo, _ in ends) < 1:
         raise ValueError(f"forcing indices must be positive: {text!r}")

@@ -78,7 +78,7 @@ def _profile(g: Graph, args: argparse.Namespace) -> dict:
 
 def _record(g: Graph, args: argparse.Namespace) -> dict:
     rec = compute_record(g, max_n=args.max_n)
-    ks = cli._parse_ks(args.ks, rec.max_degree, args.max_n)
+    ks = cli._parse_ks(args.ks, rec.max_degree, args.max_n, "--ks")
     r = rec.star_free_index
     # the indices the checks read at these ks, whatever their gates
     forcing_ks = {i for k in ks for i in (k, k * (r - 1), 2 * k)}

@@ -86,7 +86,7 @@ class Graph:
     Instances are immutable value objects and safe to share between
     concurrent workers: equal (to a graph of the same class), hashed,
     printed and pickled by (n, adj), and set only on creation, through
-    ``object.__setattr__``. Edge deletion returns a new graph.
+    ``object.__setattr__``.
     """
 
     __slots__ = ("n", "adj")
@@ -165,30 +165,10 @@ class Graph:
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] & (1 << v))
-
-    def edges(self) -> Iterator[tuple[int, int]]:
-        """Yield edges as (u, v) with u < v, in lexicographic order."""
-        for u in range(self.n):
-            for v in iter_bits(self.adj[u] >> (u + 1)):
-                yield (u, u + 1 + v)
-
-    # -- derived graphs -------------------------------------------------
-
-    def delete_edge(self, u: int, v: int) -> Graph:
-        if not self.has_edge(u, v):
-            raise GraphError(f"no edge ({u}, {v})")
-        adj = list(self.adj)
-        adj[u] &= ~(1 << v)
-        adj[v] &= ~(1 << u)
-        return Graph(self.n, tuple(adj))
-
     # -- connectivity ---------------------------------------------------
 
-    def component_of(self, start: int, within: int | None = None) -> int:
+    def component_of(self, start: int, within: int) -> int:
         """Bitmask of the component containing ``start``, restricted to ``within``."""
-        allowed = self.full_mask if within is None else within
         adj = self.adj
         seen = frontier = 1 << start
         while frontier:
@@ -197,7 +177,7 @@ class Graph:
                 low = frontier & -frontier
                 nxt |= adj[low.bit_length() - 1]
                 frontier ^= low
-            frontier = nxt & allowed & ~seen
+            frontier = nxt & within & ~seen
             seen |= frontier
         return seen
 
@@ -246,18 +226,18 @@ def from_upper_triangle(n: int, bits: int) -> Graph:
     return Graph._unchecked(n, tuple(adj))
 
 
-def components(g: Graph) -> list[int]:
-    """Partition the vertices into connected components.
+def components(g: Graph, within: int | None = None) -> list[int]:
+    """Split ``within``, or every vertex when it is None, into its pieces:
+    the connected components of the subgraph it induces.
 
-    Returns one bitmask per component, ordered by smallest member vertex.
+    Returns one bitmask per piece, ordered by smallest member vertex.
     """
     out = []
-    remaining = g.full_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = g.component_of(start, remaining)
-        out.append(comp)
-        remaining &= ~comp
+    rest = g.full_mask if within is None else within
+    while rest:
+        piece = g.component_of((rest & -rest).bit_length() - 1, rest)
+        out.append(piece)
+        rest ^= piece
     return out
 
 

@@ -207,32 +207,23 @@ def min_star_free_index(g: Graph) -> int:
 
 # -- cycle-trees ---------------------------------------------------------
 
-def is_bridge(g: Graph, u: int, v: int) -> bool:
-    """True iff removing edge (u, v) separates u from v."""
-    return not g.delete_edge(u, v).component_of(u) & 1 << v
-
-
 def is_cycle_tree(g: Graph) -> tuple[bool, int | None]:
     """Recognize chains of vertex-disjoint cycles joined by bridges.
 
     A cycle-tree is connected, every vertex lies on exactly one cycle,
     and the cycles are joined by bridge edges whose contraction is a
     tree. Returns (True, number of cycles) or (False, None).
+
+    Edge uv lies on a cycle exactly when the piece of G - v that holds u
+    holds another neighbour of v, so v's non-bridge edges number the
+    sum of |P & N(v)| over the pieces P of G - v meeting N(v) twice.
     """
     # every vertex is on a cycle; m - n + 1 disjoint cycles need 3 vertices each
     if (g.n < 3 or min(a.bit_count() for a in g.adj) < 2
             or 3 * (g.m - g.n + 1) > g.n or not g.is_connected()):
         return False, None
-    nonbridge_deg = [0] * g.n
-    bridges = 0
-    for u, v in g.edges():
-        if is_bridge(g, u, v):
-            bridges += 1
-        else:
-            nonbridge_deg[u] += 1
-            nonbridge_deg[v] += 1
-    if any(d != 2 for d in nonbridge_deg):
-        return False, None
-    q = g.m - g.n + 1
-    assert bridges == q - 1
-    return True, q
+    for v, nbrs in enumerate(g.adj):
+        met = [(p & nbrs).bit_count() for p in components(g, g.full_mask ^ 1 << v)]
+        if sum(c for c in met if c > 1) != 2:
+            return False, None
+    return True, g.m - g.n + 1

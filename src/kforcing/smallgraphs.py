@@ -54,7 +54,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterable, Iterator
 
-from .graph import Graph, from_upper_triangle, iter_bits
+from .graph import Graph, components, from_upper_triangle, iter_bits
 
 
 def _refined_cells(g: Graph) -> list[int]:
@@ -144,13 +144,7 @@ def _kept_neighbour_sets(h: Graph, nbr_sets: Iterable[int],
     dsum = [sum(deg[u] for u in iter_bits(nv)) for nv in adj]
     upto = [sum(1 << v for v in range(n) if deg[v] <= t) for t in range(n + 1)]
     # v is eligible when the new vertex meets every component of h - v
-    pieces = [[] for _ in range(n)]
-    for v in range(n if connected else 0):
-        rest = h.full_mask ^ 1 << v
-        while rest:
-            piece = h.component_of((rest & -rest).bit_length() - 1, rest)
-            pieces[v].append(piece)
-            rest ^= piece
+    pieces = [components(h, h.full_mask ^ 1 << v) if connected else () for v in range(n)]
     classes = _twin_classes(h)
     for nbrs in nbr_sets:
         if not _keeps_twin_order(nbrs, classes):

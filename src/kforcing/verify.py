@@ -19,15 +19,16 @@ from .records import compute_record
 
 
 def _parse_bounds(text: str) -> tuple[BoundId, ...]:
+    """The bounds ``--bounds`` names, once each, in declaration order."""
     if text == "all":
         return ALL_BOUNDS
-    ids = []
+    named = set()
     for part in text.split(","):
         try:
-            ids.append(BoundId[part.strip().upper()])
+            named.add(BoundId[part.strip().upper()])
         except KeyError:
             raise ValueError(f"unknown bound id {part.strip()!r}") from None
-    return tuple(ids)
+    return tuple(bound for bound in BoundId if bound in named)
 
 
 _BOUND_NAMES = {bound: bound.value for bound in BoundId}

@@ -1,6 +1,6 @@
-"""Graph and vertex-set builders that only the tests use."""
+"""Graph and vertex-set builders, and the edge readers, that only the tests use."""
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from kforcing.graph import Graph, GraphError, iter_bits, vertices_from
 
@@ -16,6 +16,33 @@ def mask_from(vertices: Iterable[int]) -> int:
 def neighbors(g: Graph, v: int) -> tuple[int, ...]:
     """The neighbours of ``v`` in ``g``, in increasing order."""
     return vertices_from(g.adj[v])
+
+
+def has_edge(g: Graph, u: int, v: int) -> bool:
+    """True iff ``g`` has the edge (u, v)."""
+    return bool(g.adj[u] & (1 << v))
+
+
+def edges(g: Graph) -> Iterator[tuple[int, int]]:
+    """Yield the edges of ``g`` as (u, v) with u < v, in lexicographic order."""
+    for u in range(g.n):
+        for v in iter_bits(g.adj[u] >> (u + 1)):
+            yield (u, u + 1 + v)
+
+
+def delete_edge(g: Graph, u: int, v: int) -> Graph:
+    """``g`` without the edge (u, v), which must be present."""
+    if not has_edge(g, u, v):
+        raise GraphError(f"no edge ({u}, {v})")
+    adj = list(g.adj)
+    adj[u] &= ~(1 << v)
+    adj[v] &= ~(1 << u)
+    return Graph(g.n, tuple(adj))
+
+
+def is_bridge(g: Graph, u: int, v: int) -> bool:
+    """True iff removing edge (u, v) separates u from v."""
+    return not delete_edge(g, u, v).component_of(u, g.full_mask) & 1 << v
 
 
 def induced_subgraph(g: Graph, mask: int) -> Graph:

@@ -12,6 +12,8 @@ from itertools import permutations
 
 from kforcing.graph import Graph, iter_bits, vertices_from
 
+from builders import edges
+
 
 def _refined_coloring(g: Graph) -> list[int]:
     """Stable vertex coloring refined from degrees by neighbor multisets."""
@@ -51,7 +53,7 @@ def canonical_key_oracle(g: Graph) -> tuple[int, int]:
             bitpos[i, j] = pos
             pos += 1
 
-    edges = list(g.edges())
+    edge_list = list(edges(g))
     best = None
     for parts in _cell_permutations(cells):
         place = [0] * n
@@ -61,7 +63,7 @@ def canonical_key_oracle(g: Graph) -> tuple[int, int]:
                 place[v] = slot
                 slot += 1
         key = 0
-        for u, v in edges:
+        for u, v in edge_list:
             a, b = place[u], place[v]
             if a > b:
                 a, b = b, a

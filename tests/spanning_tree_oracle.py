@@ -8,6 +8,8 @@ the edge-subset scan in ``test_invariants.py`` is too slow.
 
 from kforcing import ExactScopeError, Graph, GraphError, iter_bits
 
+from builders import edges
+
 _MAX_LEAF_SCOPE = 10
 
 
@@ -27,7 +29,7 @@ def max_leaf_spanning_tree(g: Graph) -> int:
             f"spanning-tree enumeration capped at n={_MAX_LEAF_SCOPE}, got {g.n}"
         )
     n = g.n
-    edge_list = list(g.edges())
+    edge_list = list(edges(g))
     m = len(edge_list)
 
     # suffix_adj[i][v]: neighbors of v among edges i..m-1

@@ -37,7 +37,7 @@ from kforcing.families import (
 )
 
 from bound_helper import bound_value
-from builders import delete_vertex, disjoint_union, induced_subgraph
+from builders import delete_edge, delete_vertex, disjoint_union, edges, induced_subgraph
 from conftest import DATA, read_graph6_file
 from forcing_oracle import closure_async, min_forcing_cc_oracle
 from random_graphs import random_graph
@@ -145,8 +145,8 @@ def test_criterion_4_spread(connected_upto_6):
         for v in range(g.n):
             if abs(base - k_forcing_number(delete_vertex(g, v), 1).value) > 1:
                 failures.append((write_graph6(g), "vertex", v))
-        for u, v in g.edges():
-            if abs(base - k_forcing_number(g.delete_edge(u, v), 1).value) > 1:
+        for u, v in edges(g):
+            if abs(base - k_forcing_number(delete_edge(g, u, v), 1).value) > 1:
                 failures.append((write_graph6(g), "edge", (u, v)))
     report("criterion-4", failures,
            "single vertex/edge deletion moves the forcing number by at most 1")

@@ -170,6 +170,14 @@ def test_report_ordering_and_exactness():
             assert r.equality == (r.slack == 0)
 
 
+def test_evaluate_bounds_reports_each_bound_once_in_table_order():
+    g, want = cycle(5), [BoundId.MAIN, BoundId.KCOR]
+    every = [r for r in evaluate_bounds(g, [1, 2]) if r.bound in want]
+    assert [r.bound for r in every] == want * 2
+    for ids in ([BoundId.KCOR, BoundId.MAIN, BoundId.MAIN], want):
+        assert evaluate_bounds(g, [2, 1, 2], ids) == every
+
+
 def test_integer_slack_agrees_with_fraction_arithmetic(connected_upto_7, trees_by_n):
     for g in connected_upto_7 + trees_by_n[10]:
         rec = compute_record(g)

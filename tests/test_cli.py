@@ -125,6 +125,8 @@ def test_gen_builds_each_graph_when_the_writer_pulls_it(tmp_path, monkeypatch):
     (["gen", "cycle_tree:1..100000,1..100000"],
      "cycle_tree: 'cycle_tree:1..100000,1..100000' expands to 10000000000 specs, "
      f"over {MAX_SWEEP}"),
+    (["compute", "--graph6", "Dhc", "--invariant", "record", "--ks", "x"],
+     "--ks: expected an integer or a..b, got 'x'"),
 ])
 def test_bad_number_names_its_family_or_flag(argv, message):
     proc = run_cli(*argv)
@@ -339,6 +341,7 @@ def test_verify_skip_line_for_graph6_input_names_the_graph6(tmp_path, capsys):
     # rejected before a graph is built, whose size would be quadratic in n
     ("0 1000000\n", ["--format", "edges"]),
     ("Dhc\n", ["--spec", "cycle:5..3"]),  # a reversed range would verify nothing
+    ("Dhc\n", ["--max-n", "-1"]),  # no graph would be in scope
 ])
 def test_verify_input_errors_exit_2(g6_lines, args, tmp_path):
     src = tmp_path / "in.g6"
@@ -367,7 +370,7 @@ def test_compute_reversed_range_in_a_ks_list_exits_2(capsys):
     assert main(["compute", "--graph6", "Dhc", "--invariant", "record",
                  "--ks", "2..1,3"]) == 2
     assert capsys.readouterr() == (
-        "", "error: --k: reversed range '2..1' names no forcing index\n")
+        "", "error: --ks: reversed range '2..1' names no forcing index\n")
 
 
 def test_max_n_ceiling_is_graph6s_largest_order(capsys):
@@ -383,6 +386,32 @@ def test_max_n_ceiling_is_graph6s_largest_order(capsys):
         assert out == ""
         assert err == (f"error: --max-n {MAX_ORDER + 1} exceeds graph6's largest "
                        f"order {MAX_ORDER}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["search", "--target", "cor3", "-i", str(DATA / "connected_4.g6"), "--max-n", "-5"],
+    ["compute", "--graph6", "Dhc", "--invariant", "profile", "--max-n", "0"],
+])
+def test_max_n_below_one_exits_2(argv, capsys):
+    # search would skip every graph and exit 0; compute would exit 3
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: --max-n must be positive, got {argv[-1]}\n")
+
+
+def test_verify_bounds_checks_each_named_bound_once_in_table_order(tmp_path, capsys):
+    def run(bounds: str) -> tuple[list[str], str]:
+        out = tmp_path / f"{bounds}.jsonl"
+        assert main(["verify", "-i", str(DATA / "connected_4.g6"), "--k", "1,2",
+                     "--bounds", bounds, "--out-jsonl", str(out)]) == 0
+        return out.read_text().splitlines(), capsys.readouterr().out
+
+    every, _ = run("all")
+    want = [line for line in every if json.loads(line)["bound"] in ("MAIN", "KCOR")]
+    repeated, summary = run("kcor,main,main")
+    assert repeated == want
+    assert run("MAIN,KCOR") == (want, summary)
+    applicable = sum(json.loads(line)["applicable"] for line in want)
+    assert summary.startswith(f"verify: checked={applicable} ")
 
 
 @pytest.mark.parametrize("argv", [

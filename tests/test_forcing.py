@@ -17,7 +17,8 @@ from kforcing.families import complete, complete_bipartite, cycle, path
 from kforcing.forcing import _fixpoint
 from kforcing.graph import subsets_of_size
 
-from builders import delete_vertex, disjoint_union, induced_subgraph, mask_from
+from builders import (
+    delete_edge, delete_vertex, disjoint_union, induced_subgraph, mask_from)
 from forcing_oracle import (
     closure,
     closure_async,
@@ -306,7 +307,7 @@ def test_confluence_spot_checks():
 def test_spread_examples():
     g = cycle(6)
     assert k_forcing_number(g, 1).value == 2
-    assert k_forcing_number(g.delete_edge(0, 1), 1).value == 1
+    assert k_forcing_number(delete_edge(g, 0, 1), 1).value == 1
     k4 = complete(4)
     assert k_forcing_number(delete_vertex(k4, 0), 1).value == 2
 

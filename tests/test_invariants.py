@@ -35,7 +35,9 @@ from kforcing.families import (
 )
 from kforcing.smallgraphs import all_trees
 
-from builders import disjoint_union, induced_subgraph, mask_from, neighbors
+from builders import (
+    delete_edge, disjoint_union, edges, has_edge, induced_subgraph, is_bridge, mask_from,
+    neighbors)
 from spanning_tree_oracle import max_leaf_spanning_tree
 
 
@@ -116,9 +118,9 @@ def k_connected_scan(g: Graph, k: int) -> bool:
 
 def max_leaf_oracle(g: Graph) -> int:
     """Spanning trees by edge-subset scan (independent of the B&B path)."""
-    edges = list(g.edges())
+    edge_list = list(edges(g))
     best = 0
-    for combo in combinations(edges, g.n - 1):
+    for combo in combinations(edge_list, g.n - 1):
         seen = {0}
         nbr = {v: set() for v in range(g.n)}
         for u, v in combo:
@@ -141,7 +143,7 @@ def first_hamiltonian_cycle(g: Graph) -> tuple[int, ...] | None:
     for perm in permutations(range(1, g.n)):
         order = (0,) + perm
         if all(
-            g.has_edge(order[i], order[(i + 1) % g.n]) for i in range(g.n)
+            has_edge(g, order[i], order[(i + 1) % g.n]) for i in range(g.n)
         ):
             return order
     return None
@@ -405,7 +407,7 @@ def test_connectivity_against_networkx(connected_upto_7):
     for g in connected_upto_7 + [disjoint_union(cycle(4), complete(3))]:
         gg = nx.Graph()
         gg.add_nodes_from(range(g.n))
-        gg.add_edges_from(g.edges())
+        gg.add_edges_from(edges(g))
         conn = nx.node_connectivity(gg)
         assert vertex_connectivity(g) == conn
         for k in range(1, g.n + 1):
@@ -445,7 +447,7 @@ def test_hamiltonian_cycle_is_valid_and_matches_oracle(connected_upto_6):
         if cyc is not None:
             assert sorted(cyc) == list(range(g.n))
             assert all(
-                g.has_edge(cyc[i], cyc[(i + 1) % g.n]) for i in range(g.n)
+                has_edge(g, cyc[i], cyc[(i + 1) % g.n]) for i in range(g.n)
             )
 
 
@@ -460,7 +462,7 @@ def is_k1r_free(g: Graph, r: int) -> bool:
         if len(nbrs) < r:
             continue
         for combo in combinations(nbrs, r):
-            if all(not g.has_edge(a, b) for a, b in combinations(combo, 2)):
+            if all(not has_edge(g, a, b) for a, b in combinations(combo, 2)):
                 return False
     return True
 
@@ -483,7 +485,7 @@ def test_k1r_free_against_induced_subgraph_search(connected_upto_6):
             continue
         gg = nx.Graph()
         gg.add_nodes_from(range(g.n))
-        gg.add_edges_from(g.edges())
+        gg.add_edges_from(edges(g))
         for r in (3, 4):
             pattern = nx.star_graph(r)
             found = any(
@@ -561,8 +563,8 @@ def cycle_tree_oracle(g: Graph) -> tuple[bool, int | None]:
     if g.n < 3 or not g.is_connected():
         return False, None
     kept = [0] * g.n
-    for u, v in g.edges():
-        if g.delete_edge(u, v).is_connected():
+    for u, v in edges(g):
+        if delete_edge(g, u, v).is_connected():
             kept[u] += 1
             kept[v] += 1
     if any(d != 2 for d in kept):
@@ -570,12 +572,55 @@ def cycle_tree_oracle(g: Graph) -> tuple[bool, int | None]:
     return True, g.m - g.n + 1
 
 
-def test_cycle_tree_against_bridge_deletion_oracle(connected_upto_7, trees_by_n):
-    graphs = connected_upto_7 + trees_by_n[10]
+def bridged_cycles(lengths: tuple[int, ...], bridges) -> Graph:
+    """Disjoint cycles, cycle i of length lengths[i] on a consecutive block,
+    plus an edge from vertex a of cycle i to vertex b of cycle j for each
+    ((i, a), (j, b)) in ``bridges``."""
+    starts = [sum(lengths[:i]) for i in range(len(lengths))]
+    g = disjoint_union(*map(cycle, lengths))
+    return Graph.from_edges(g.n, [*edges(g), *((starts[i] + a, starts[j] + b)
+                                               for (i, a), (j, b) in bridges)])
+
+
+# skeletons that branch, which the chains of families.cycle_tree never do
+BRANCHING_CYCLE_TREES = [
+    # a centre cycle and pendant cycles at distinct centre vertices
+    bridged_cycles((6, 5, 5, 5), [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((0, 2), (3, 0))]),
+    bridged_cycles((3, 3, 4), [((0, 0), (1, 0)), ((0, 2), (2, 1))]),
+    # two or three bridges at one vertex, of degree 4 or 5
+    bridged_cycles((3, 3, 3), [((0, 0), (1, 0)), ((0, 0), (2, 0))]),
+    bridged_cycles((3, 4, 3, 5), [((0, 0), (1, 0)), ((0, 0), (2, 1)), ((0, 0), (3, 2))]),
+    # a deeper tree of cycles, with two bridges at one vertex of cycle 2
+    bridged_cycles((3, 4, 3, 5, 3),
+                   [((0, 0), (1, 0)), ((0, 1), (2, 0)), ((2, 1), (3, 0)), ((2, 1), (4, 2))]),
+]
+
+
+def test_cycle_tree_against_bridge_deletion_oracle(all_upto_7, trees_by_n):
+    # every graph with at most 7 vertices, disconnected ones included
+    graphs = all_upto_7 + trees_by_n[10]
     graphs += [cycle_tree(lengths) for lengths in ((3, 3), (3, 4, 5), (5, 3, 3, 4))]
-    assert sum(is_cycle_tree(g)[0] for g in graphs) >= 10
+    graphs += BRANCHING_CYCLE_TREES
+    # near misses that pass every screen: a cycle in the skeleton, a chord
+    centre, _, _, thrice, deep = BRANCHING_CYCLE_TREES
+    near_misses = [Graph.from_edges(centre.n, [*edges(centre), (7, 12)]),
+                   Graph.from_edges(centre.n, [*edges(centre), (0, 3)]),
+                   Graph.from_edges(deep.n, [*edges(deep), (3, 14)])]
+    assert all(3 * (g.m - g.n + 1) <= g.n for g in near_misses)
+    graphs += near_misses
+    # each vertex of two disjoint triangles keeps two non-bridge edges, so
+    # only the connectivity screen rejects them
+    two = disjoint_union(cycle(3), cycle(3))
+    assert all(sum(not is_bridge(two, v, u) for u in neighbors(two, v)) == 2
+               for v in range(two.n))
+    assert is_cycle_tree(two) == (False, None)
+    assert sum(is_cycle_tree(g)[0] for g in graphs) == 15
     for g in graphs:
         assert is_cycle_tree(g) == cycle_tree_oracle(g)
+    assert [is_cycle_tree(g) for g in BRANCHING_CYCLE_TREES] == [
+        (True, 4), (True, 3), (True, 3), (True, 4), (True, 5)]
+    assert [is_cycle_tree(g) for g in near_misses] == [(False, None)] * 3
+    assert max(thrice.degree(v) for v in range(thrice.n)) == 5
 
 
 def test_cycle_tree_component_structure():

@@ -16,7 +16,7 @@ from kforcing.smallgraphs import (
     connected_graphs,
 )
 
-from builders import delete_vertex
+from builders import delete_vertex, edges
 from canonical_oracle import _refined_coloring, canonical_key_oracle, ordered_cells
 from conftest import DATA
 from growth_oracle import unpruned_growth
@@ -73,7 +73,7 @@ def test_tree_counts():
 
 def _relabel(g: Graph, perm):
     adj = [0] * g.n
-    for u, v in g.edges():
+    for u, v in edges(g):
         adj[perm[u]] |= 1 << perm[v]
         adj[perm[v]] |= 1 << perm[u]
     return Graph(g.n, tuple(adj))
